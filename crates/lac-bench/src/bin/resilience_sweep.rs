@@ -2,8 +2,9 @@
 //! in-process harness ([`lac_serve::run_resilience`]).
 //!
 //! Each cell replays a seeded arrival stream (real wire frames through
-//! a real frame reader) against a bounded batch queue and a real
-//! serving model, on a mock clock — with the storm cells additionally
+//! a real frame reader) into the daemon's own dispatch core — bounded
+//! batch queue, deadline pass, real serving model — on a mock clock,
+//! with the storm cells additionally
 //! injecting seeded dispatcher panics, oversized frames, dropped
 //! connections, fragmented writes and corrupt checkpoint swaps. The
 //! report — goodput, shed rate, deadline expiries, restart counts, the

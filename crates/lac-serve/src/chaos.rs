@@ -2,13 +2,14 @@
 //!
 //! Two harnesses share one [`ChaosPlan`] vocabulary:
 //!
-//! - [`run_resilience`] is a fully deterministic *in-process* replica of
-//!   the daemon's dispatch loop — real protocol frames through a real
-//!   [`FrameReader`], real bounded [`BatchQueue`] admission, real
-//!   [`ServingModel`] inference, real
+//! - [`run_resilience`] drives the daemon's own sans-IO dispatch core
+//!   (`dispatch.rs`) in process: real protocol frames through a
+//!   real [`FrameReader`] per simulated connection, the daemon's
+//!   admission, deadline, SWAP and poison handling, real
+//!   [`ServingModel`] inference, and real
 //!   [`supervise`](lac_rt::supervise::supervise) panic recovery — but
-//!   with a [`MockClock`] instead of wall time and seeded arrivals
-//!   instead of sockets. Its report (and the committed
+//!   with a [`MockClock`] instead of wall time and a seeded tick loop
+//!   instead of sockets and threads. Its report (and the committed
 //!   `BENCH_resilience.json` built from it by `resilience_sweep`) is a
 //!   pure function of the config, byte-identical for every `--jobs` and
 //!   worker count.
@@ -24,21 +25,23 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 
-use lac_apps::serving::{ServeApp, ServeSample};
+use lac_apps::serving::ServeApp;
 use lac_core::ServingModel;
 use lac_rt::clock::{Clock, MockClock};
 use lac_rt::hash::fnv1a_64_hex;
 use lac_rt::json::Value;
 use lac_rt::rng::{RngExt, SeedableRng, StdRng};
-use lac_rt::supervise::{deliberate_panic, supervise};
+use lac_rt::supervise::supervise;
 
-use crate::batch::{Admission, BatchQueue};
 use crate::client::Client;
+use crate::dispatch::{wire_bytes, DispatchCore};
 use crate::loadgen::{payload, run_loadgen, LoadgenConfig, LoadgenReport};
 use crate::protocol::{FrameEvent, FrameReader, Request, Response, MAX_FRAME_LEN};
-use crate::server::retry_after_hint;
+use crate::registry::Registry;
+use crate::server::ServerConfig;
 
 /// One kind of injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,17 +124,16 @@ impl ChaosPlan {
             let (key, value) = token
                 .split_once('=')
                 .ok_or_else(|| format!("chaos: `{token}` is not of the form key=value"))?;
-            let n: u64 = value
-                .trim()
-                .parse()
-                .map_err(|_| format!("chaos: `{value}` is not a valid count for `{key}`"))?;
+            let bad_count = || format!("chaos: `{value}` is not a valid count for `{key}`");
+            let n: u64 = value.trim().parse().map_err(|_| bad_count())?;
+            let count = || u32::try_from(n).map_err(|_| bad_count());
             match key.trim() {
                 "seed" => plan.seed = n,
-                "panics" => plan.panics = n as u32,
-                "oversized" => plan.oversized = n as u32,
-                "drops" => plan.drops = n as u32,
-                "frags" => plan.frags = n as u32,
-                "corrupt-swaps" => plan.corrupt_swaps = n as u32,
+                "panics" => plan.panics = count()?,
+                "oversized" => plan.oversized = count()?,
+                "drops" => plan.drops = count()?,
+                "frags" => plan.frags = count()?,
+                "corrupt-swaps" => plan.corrupt_swaps = count()?,
                 other => {
                     return Err(format!(
                         "chaos: unknown key `{other}` (known: seed, panics, oversized, \
@@ -270,22 +272,6 @@ impl ResilienceReport {
     }
 }
 
-/// Batch key of the simulated dispatcher: real traffic batches per
-/// kernel, poison probes dispatch alone.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum SimKey {
-    App(ServeApp),
-    Poison(u64),
-}
-
-/// One admitted simulated request.
-struct SimPending {
-    conn: usize,
-    id: u64,
-    sample: Option<ServeSample>,
-    expires_at: Option<u64>,
-}
-
 /// One simulated client connection.
 struct SimConn {
     reader: FrameReader,
@@ -302,23 +288,24 @@ fn class_of(message: &str) -> String {
     }
 }
 
-struct Sim {
-    model: ServingModel,
-    clock: MockClock,
-    queue: BatchQueue<SimKey, SimPending>,
+/// A checkpoint path no SWAP can load: the storm's corrupt swaps go
+/// through the daemon's real SWAP path and must be refused.
+const UNLOADABLE_CHECKPOINT: &str = "/nonexistent/lac-chaos/corrupt.ck.json";
+
+/// The client side of the in-process run: simulated connections in
+/// front of the daemon's [`DispatchCore`], plus everything the report
+/// counts about what came back.
+struct Harness {
+    core: DispatchCore<usize>,
+    clock: Arc<MockClock>,
     conns: Vec<SimConn>,
-    default_deadline_us: Option<u64>,
-    max_batch: usize,
     service_per_item_us: u64,
-    threads: usize,
+    /// Correlation ids of injected poison probes.
     poison_seq: u64,
     // Delivered response frames, concatenated, for the fingerprint.
     delivered: Vec<u8>,
     offered: u64,
     completed: u64,
-    shed: u64,
-    expired: u64,
-    restarts: u64,
     dropped_conns: u64,
     dropped_deliveries: u64,
     batches: u64,
@@ -328,149 +315,42 @@ struct Sim {
     taxonomy: BTreeMap<String, u64>,
 }
 
-impl Sim {
-    /// Encode and "deliver" a response: live connections accumulate the
-    /// frame into the fingerprint, dropped connections count the loss.
-    fn deliver(&mut self, conn: usize, resp: &Response) {
-        let bytes = match resp.encode() {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                let fallback = Response::Error { id: resp.id(), message: e };
-                match fallback.encode() {
-                    Ok(bytes) => bytes,
-                    Err(_) => return,
+impl Harness {
+    /// "Deliver" the core's responses: live connections accumulate the
+    /// frames into the fingerprint, dropped connections count the loss.
+    fn deliver(&mut self, responses: Vec<(usize, Response)>) {
+        for (conn, resp) in responses {
+            let Some(bytes) = wire_bytes(&resp) else { continue };
+            match &resp {
+                Response::Busy { .. } => *self.taxonomy.entry("busy".to_owned()).or_insert(0) += 1,
+                Response::Error { message, .. } => {
+                    *self.taxonomy.entry(class_of(message)).or_insert(0) += 1;
                 }
+                _ => {}
             }
-        };
-        match resp {
-            Response::Infer { .. } => {}
-            Response::Busy { .. } => *self.taxonomy.entry("busy".to_owned()).or_insert(0) += 1,
-            Response::Error { message, .. } => {
-                *self.taxonomy.entry(class_of(message)).or_insert(0) += 1;
+            if self.conns.get(conn).is_none_or(|c| c.dropped) {
+                self.dropped_deliveries += 1;
+                continue;
             }
-            _ => {}
+            if let Response::Infer { .. } = resp {
+                self.completed += 1;
+            }
+            self.delivered.extend_from_slice(&bytes);
         }
-        if self.conns.get(conn).is_none_or(|c| c.dropped) {
-            self.dropped_deliveries += 1;
-            return;
-        }
-        if let Response::Infer { .. } = resp {
-            self.completed += 1;
-        }
-        self.delivered.extend_from_slice(&bytes);
     }
 
     /// First live connection at or after `salt % conns`.
     fn pick_conn(&self, salt: u64) -> usize {
         let n = self.conns.len().max(1);
         let start = (salt as usize) % n;
-        for i in 0..n {
-            let c = (start + i) % n;
-            if !self.conns.get(c).is_none_or(|conn| conn.dropped) {
-                return c;
-            }
-        }
-        start
+        (0..n)
+            .map(|i| (start + i) % n)
+            .find(|&c| self.conns.get(c).is_some_and(|conn| !conn.dropped))
+            .unwrap_or(start)
     }
 
-    /// Admit one decoded request, mirroring the daemon's shed path.
-    fn admit(&mut self, app: ServeApp, pending: SimPending) {
-        self.offered += 1;
-        let (conn, id) = (pending.conn, pending.id);
-        match self.queue.push(SimKey::App(app), pending) {
-            Admission::Admitted => {}
-            Admission::Busy { depth } => {
-                self.shed += 1;
-                self.deliver(
-                    conn,
-                    &Response::Busy {
-                        id,
-                        depth: depth as u32,
-                        retry_after_us: retry_after_hint(depth),
-                    },
-                );
-            }
-            Admission::Closed => {
-                self.deliver(
-                    conn,
-                    &Response::Error {
-                        id,
-                        message: "shutdown: server is draining, request refused".to_owned(),
-                    },
-                );
-            }
-        }
-    }
-
-    /// Handle frame-reader events for connection `conn`, exactly as the
-    /// daemon's reader loop would.
-    fn handle_events(&mut self, conn: usize, events: Vec<FrameEvent>) {
-        for event in events {
-            match event {
-                FrameEvent::Oversized { advertised } => {
-                    self.deliver(
-                        conn,
-                        &Response::Error {
-                            id: 0,
-                            message: format!(
-                                "overflow: frame advertises {advertised} bytes, \
-                                 limit is {MAX_FRAME_LEN}; skipped"
-                            ),
-                        },
-                    );
-                }
-                FrameEvent::Frame(body) => match Request::parse(&body) {
-                    Err(e) => self.deliver(
-                        conn,
-                        &Response::Error { id: 0, message: format!("malformed request: {e}") },
-                    ),
-                    Ok(Request::Infer { kernel, id, values, deadline_us }) => {
-                        let Some(app) = ServeApp::from_code(kernel) else {
-                            self.deliver(
-                                conn,
-                                &Response::Error {
-                                    id,
-                                    message: format!("malformed request: unknown kernel {kernel}"),
-                                },
-                            );
-                            continue;
-                        };
-                        match app.decode(&values) {
-                            Err(e) => self.deliver(
-                                conn,
-                                &Response::Error {
-                                    id,
-                                    message: format!("malformed request: {e}"),
-                                },
-                            ),
-                            Ok(sample) => {
-                                let deadline = deadline_us.or(self.default_deadline_us);
-                                let expires_at =
-                                    deadline.map(|d| self.clock.now_us().saturating_add(d));
-                                self.admit(
-                                    app,
-                                    SimPending { conn, id, sample: Some(sample), expires_at },
-                                );
-                            }
-                        }
-                    }
-                    Ok(other) => {
-                        // The harness only generates infer frames; any
-                        // other opcode here is a decode bug.
-                        self.deliver(
-                            conn,
-                            &Response::Error {
-                                id: other.id(),
-                                message: "malformed request: unexpected opcode".to_owned(),
-                            },
-                        );
-                    }
-                },
-            }
-        }
-    }
-
-    /// Feed raw bytes into one connection's frame reader.
+    /// Feed raw bytes through one connection's frame reader into the
+    /// core, delivering its immediate answers.
     fn feed(&mut self, conn: usize, bytes: &[u8], fragmented: bool) {
         let mut events = Vec::new();
         if let Some(c) = self.conns.get_mut(conn) {
@@ -482,14 +362,25 @@ impl Sim {
                 c.reader.push(bytes, &mut events);
             }
         }
-        self.handle_events(conn, events);
+        for event in events {
+            if let Some(reply) = self.core.on_event(&conn, event) {
+                self.deliver(vec![(conn, reply)]);
+            }
+        }
+    }
+
+    /// Encode and send one request on `conn`.
+    fn send(&mut self, conn: usize, request: &Request, fragmented: bool) {
+        if let Ok(bytes) = request.encode() {
+            self.feed(conn, &bytes, fragmented);
+        }
     }
 
     /// Apply one scheduled fault at `tick`.
     fn apply_event(&mut self, tick: u64, event: ChaosEvent) {
+        let c = self.pick_conn(tick);
         match event {
             ChaosEvent::Drop => {
-                let c = self.pick_conn(tick);
                 if let Some(conn) = self.conns.get_mut(c) {
                     if !conn.dropped {
                         conn.dropped = true;
@@ -498,13 +389,11 @@ impl Sim {
                 }
             }
             ChaosEvent::Fragment => {
-                let c = self.pick_conn(tick);
                 if let Some(conn) = self.conns.get_mut(c) {
                     conn.frag_next = true;
                 }
             }
             ChaosEvent::Oversized => {
-                let c = self.pick_conn(tick);
                 let advertised = (MAX_FRAME_LEN as u32).saturating_add(1);
                 self.feed(c, &advertised.to_le_bytes(), false);
                 // Complete the oversized body so the stream resyncs and
@@ -512,125 +401,56 @@ impl Sim {
                 self.feed(c, &vec![0u8; advertised as usize], false);
             }
             ChaosEvent::Panic => {
-                let c = self.pick_conn(tick);
-                let token = self.poison_seq;
+                let id = 0xFEED_0000_0000_0000 | self.poison_seq;
                 self.poison_seq += 1;
-                let id = 0xFEED_0000_0000_0000 | token;
                 self.offered += 1;
-                let pending = SimPending { conn: c, id, sample: None, expires_at: None };
-                if let Admission::Busy { depth } = self.queue.push(SimKey::Poison(token), pending)
-                {
-                    self.shed += 1;
-                    self.deliver(
-                        c,
-                        &Response::Busy {
-                            id,
-                            depth: depth as u32,
-                            retry_after_us: retry_after_hint(depth),
-                        },
-                    );
-                }
+                self.send(c, &Request::DebugPanic { id }, false);
             }
             ChaosEvent::CorruptSwap => {
-                // A corrupt checkpoint swap: the registry refuses the
-                // artifact and the connection gets a structured error.
-                let c = self.pick_conn(tick);
-                if let Err(e) = ServingModel::untrained(self.model.app(), "mul8u_CORRUPT") {
-                    self.deliver(
-                        c,
-                        &Response::Error {
-                            id: 0xC0_0000_0000_0000 | tick,
-                            message: format!("swap: corrupt checkpoint refused ({e})"),
-                        },
-                    );
-                }
+                let id = 0xC0_0000_0000_0000 | tick;
+                let path = UNLOADABLE_CHECKPOINT.to_owned();
+                self.send(c, &Request::Swap { id, path }, false);
             }
         }
     }
 
-    /// Process one popped batch (runs under `supervise`; poison batches
-    /// unwind here).
-    fn process_batch(&mut self, key: SimKey, batch: &mut [SimPending]) {
-        if let SimKey::Poison(_) = key {
-            deliberate_panic("injected dispatcher panic (DEBUG_PANIC opcode)");
-        }
-        let now = self.clock.now_us();
-        let mut live: Vec<(usize, u64)> = Vec::new();
-        let mut samples: Vec<ServeSample> = Vec::new();
-        for p in batch.iter_mut() {
-            if p.expires_at.is_some_and(|t| now >= t) {
-                self.expired += 1;
-                self.deliver(
-                    p.conn,
-                    &Response::Error {
-                        id: p.id,
-                        message: "deadline: expired before dispatch".to_owned(),
-                    },
-                );
-                continue;
-            }
-            if let Some(sample) = p.sample.take() {
-                live.push((p.conn, p.id));
-                samples.push(sample);
-            }
-        }
-        if samples.is_empty() {
-            return;
-        }
-        self.clock.advance(self.service_per_item_us * samples.len() as u64);
-        let mode = self.model.trained_mode();
-        match self.model.infer_mode(mode, &samples, self.threads) {
-            Ok(outputs) => {
-                for ((conn, id), values) in live.into_iter().zip(outputs) {
-                    self.deliver(conn, &Response::Infer { id, values });
-                }
-                if self.recovering {
-                    let took = self.batches_since_restart;
-                    self.recovery_batches =
-                        Some(self.recovery_batches.map_or(took, |worst| worst.max(took)));
-                    self.recovering = false;
-                }
-            }
-            Err(e) => {
-                for (conn, id) in live {
-                    self.deliver(conn, &Response::Error { id, message: e.clone() });
-                }
-            }
-        }
-    }
-
-    /// Pop and process one batch; returns false when the queue is empty.
+    /// Pop and dispatch one batch under the panic supervisor, then
+    /// advance the clock by its service time. Returns false when the
+    /// queue is empty.
     fn dispatch_batch(&mut self) -> bool {
-        if self.queue.is_empty() {
+        if self.core.is_idle() {
             return false;
         }
-        let Some((key, batch)) = self.queue.pop_batch(self.max_batch, Duration::ZERO) else {
-            return false;
-        };
+        let Some(batch) = self.core.pop() else { return false };
         self.batches += 1;
         if self.recovering {
             self.batches_since_restart += 1;
         }
-        let metas: Vec<(usize, u64)> = batch.iter().map(|p| (p.conn, p.id)).collect();
-        let mut batch = batch;
-        let mut panicked: Option<String> = None;
+        let core = &self.core;
+        let mut batch = Some(batch);
+        let mut done = None;
+        let mut recovered = None;
         supervise(
-            || self.process_batch(key, &mut batch),
+            || done = batch.take().map(|b| core.dispatch(b)),
             |msg| {
-                panicked = Some(msg.to_owned());
+                recovered = Some(core.recover(msg));
                 false // the supervisor restarts the loop, not the batch
             },
         );
-        if let Some(msg) = panicked {
-            self.restarts += 1;
+        if let Some(responses) = recovered {
             self.recovering = true;
             self.batches_since_restart = 0;
-            for (conn, id) in metas {
-                self.deliver(
-                    conn,
-                    &Response::Error { id, message: format!("panic: dispatcher restarted: {msg}") },
-                );
-            }
+            self.deliver(responses);
+        }
+        let Some(done) = done else { return true };
+        self.clock.advance(self.service_per_item_us * done.inferred as u64);
+        let served = done.responses.iter().any(|(_, r)| matches!(r, Response::Infer { .. }));
+        self.deliver(done.responses);
+        if served && self.recovering {
+            let took = self.batches_since_restart;
+            self.recovery_batches =
+                Some(self.recovery_batches.map_or(took, |worst| worst.max(took)));
+            self.recovering = false;
         }
         true
     }
@@ -638,29 +458,35 @@ impl Sim {
 
 /// Run one deterministic in-process resilience cell.
 ///
-/// Wall-clock-free: time is a [`MockClock`] advanced by the simulated
-/// scheduler, so the report — fingerprint included — is byte-identical
-/// across machines, `--jobs`, and worker counts.
+/// Wall-clock-free: time is a [`MockClock`] advanced by the tick loop
+/// and by each batch's service time, so the report — fingerprint
+/// included — is byte-identical across machines, `--jobs`, and worker
+/// counts.
 pub fn run_resilience(cfg: &ResilienceConfig) -> Result<ResilienceReport, String> {
-    let model = ServingModel::untrained(cfg.app, &cfg.spec).map_err(|e| e.to_string())?;
-    let mut sim = Sim {
-        model,
-        clock: MockClock::new(0),
-        queue: BatchQueue::bounded(cfg.queue_cap),
+    let registry = Arc::new(Registry::new());
+    registry.swap(ServingModel::untrained(cfg.app, &cfg.spec).map_err(|e| e.to_string())?);
+    let clock = Arc::new(MockClock::new(0));
+    let server = ServerConfig {
+        workers: cfg.threads,
+        max_batch: cfg.max_batch,
+        linger: Duration::ZERO,
+        queue_cap: cfg.queue_cap,
+        default_deadline_us: cfg.deadline_us,
+        debug_opcodes: true,
+        clock: Arc::clone(&clock) as Arc<dyn Clock>,
+        ..ServerConfig::default()
+    };
+    let mut h = Harness {
+        core: DispatchCore::new(registry, server),
+        clock,
         conns: (0..cfg.conns.max(1))
             .map(|_| SimConn { reader: FrameReader::new(), dropped: false, frag_next: false })
             .collect(),
-        default_deadline_us: cfg.deadline_us,
-        max_batch: cfg.max_batch,
         service_per_item_us: cfg.service_per_item_us,
-        threads: cfg.threads,
         poison_seq: 0,
         delivered: Vec::new(),
         offered: 0,
         completed: 0,
-        shed: 0,
-        expired: 0,
-        restarts: 0,
         dropped_conns: 0,
         dropped_deliveries: 0,
         batches: 0,
@@ -674,52 +500,50 @@ pub fn run_resilience(cfg: &ResilienceConfig) -> Result<ResilienceReport, String
     let mut next_event = 0usize;
     let mut arrival: u64 = 0;
     for tick in 0..cfg.ticks {
-        sim.clock.advance(cfg.tick_us);
+        h.clock.advance(cfg.tick_us);
         while next_event < events.len() && events[next_event].0 == tick {
-            sim.apply_event(tick, events[next_event].1);
+            h.apply_event(tick, events[next_event].1);
             next_event += 1;
         }
         for _ in 0..cfg.arrivals_per_tick {
-            let conn = sim.pick_conn(arrival);
-            if sim.conns.get(conn).is_none_or(|c| c.dropped) {
+            let conn = h.pick_conn(arrival);
+            if h.conns.get(conn).is_none_or(|c| c.dropped) {
                 break; // every connection is gone; no more arrivals
             }
-            let id = ((conn as u64) << 48) | arrival;
             let request = Request::Infer {
                 kernel: cfg.app.code(),
-                id,
+                id: ((conn as u64) << 48) | arrival,
                 values: payload(cfg.app, cfg.seed, arrival),
                 deadline_us: None, // the per-cell default deadline applies
             };
             arrival += 1;
-            let Ok(bytes) = request.encode() else { continue };
-            let fragmented = sim.conns.get(conn).is_some_and(|c| c.frag_next);
-            if let Some(c) = sim.conns.get_mut(conn) {
-                c.frag_next = false;
-            }
-            sim.feed(conn, &bytes, fragmented);
+            let fragmented =
+                h.conns.get_mut(conn).is_some_and(|c| std::mem::take(&mut c.frag_next));
+            h.offered += 1;
+            h.send(conn, &request, fragmented);
         }
         for _ in 0..cfg.batches_per_tick {
-            if !sim.dispatch_batch() {
+            if !h.dispatch_batch() {
                 break;
             }
         }
     }
     // Drain whatever is still queued, as the daemon does on shutdown.
-    while sim.dispatch_batch() {}
+    while h.dispatch_batch() {}
 
+    let health = h.core.health();
     Ok(ResilienceReport {
-        offered: sim.offered,
-        completed: sim.completed,
-        shed: sim.shed,
-        expired: sim.expired,
-        restarts: sim.restarts,
-        dropped_conns: sim.dropped_conns,
-        dropped_deliveries: sim.dropped_deliveries,
-        batches: sim.batches,
-        recovery_batches: sim.recovery_batches,
-        taxonomy: sim.taxonomy,
-        fingerprint: fnv1a_64_hex(&sim.delivered),
+        offered: h.offered,
+        completed: h.completed,
+        shed: health.shed,
+        expired: health.expired,
+        restarts: health.dispatcher_restarts,
+        dropped_conns: h.dropped_conns,
+        dropped_deliveries: h.dropped_deliveries,
+        batches: h.batches,
+        recovery_batches: h.recovery_batches,
+        taxonomy: h.taxonomy,
+        fingerprint: fnv1a_64_hex(&h.delivered),
     })
 }
 
@@ -830,14 +654,18 @@ pub struct ChaosReport {
     pub loadgen: LoadgenReport,
 }
 
-/// One raw framed round trip over a fresh connection.
+/// One raw framed round trip over a fresh connection. The request is
+/// written one byte at a time, so every fault also crosses the
+/// server's partial-read path.
 fn raw_round_trip(port: u16, bytes: &[u8], timeout: Duration) -> Result<Response, String> {
     let mut stream =
         TcpStream::connect(("127.0.0.1", port)).map_err(|e| format!("chaos connect: {e}"))?;
     stream
         .set_read_timeout(Some(timeout))
         .map_err(|e| format!("chaos timeout: {e}"))?;
-    stream.write_all(bytes).map_err(|e| format!("chaos write: {e}"))?;
+    for byte in bytes {
+        stream.write_all(std::slice::from_ref(byte)).map_err(|e| format!("chaos write: {e}"))?;
+    }
     let mut reader = FrameReader::new();
     let mut events = Vec::new();
     let mut buf = [0u8; 64 * 1024];
@@ -912,31 +740,7 @@ pub fn run_chaos(cfg: &LoadgenConfig, plan: &ChaosPlan) -> Result<ChaosReport, S
             values: payload(cfg.app, plan.seed ^ 0x5eed, u64::from(i)),
             deadline_us: None,
         };
-        let bytes = request.encode()?;
-        let mut stream =
-            TcpStream::connect(("127.0.0.1", cfg.port)).map_err(|e| format!("chaos connect: {e}"))?;
-        stream
-            .set_read_timeout(Some(cfg.timeout))
-            .map_err(|e| format!("chaos timeout: {e}"))?;
-        for byte in &bytes {
-            stream
-                .write_all(std::slice::from_ref(byte))
-                .map_err(|e| format!("chaos write: {e}"))?;
-        }
-        let mut reader = FrameReader::new();
-        let mut events = Vec::new();
-        let mut buf = [0u8; 64 * 1024];
-        let resp = loop {
-            if let Some(FrameEvent::Frame(body)) = events.first() {
-                break Response::parse(body)?;
-            }
-            events.clear();
-            let n = stream.read(&mut buf).map_err(|e| format!("chaos read: {e}"))?;
-            if n == 0 {
-                return Err("chaos: server closed the fragmented connection".to_owned());
-            }
-            reader.push(&buf[..n], &mut events);
-        };
+        let resp = raw_round_trip(cfg.port, &request.encode()?, cfg.timeout)?;
         match resp {
             Response::Infer { id: got, .. } if got == id => report.fragmented_ok += 1,
             other => return Err(format!("chaos: fragmented request got {other:?}")),
@@ -1012,6 +816,8 @@ mod tests {
         assert!(err.contains("unknown key `selfdestruct`"), "{err}");
         let err = ChaosPlan::parse("panics=lots").unwrap_err();
         assert!(err.contains("not a valid count"), "{err}");
+        let err = ChaosPlan::parse("panics=4294967297").unwrap_err();
+        assert!(err.contains("not a valid count"), "{err}");
         let err = ChaosPlan::parse("panics").unwrap_err();
         assert!(err.contains("key=value"), "{err}");
     }
@@ -1052,6 +858,13 @@ mod tests {
         assert!(report.taxonomy.contains_key("panic"), "{:?}", report.taxonomy);
         assert!(report.taxonomy.contains_key("overflow"), "{:?}", report.taxonomy);
         assert!(report.taxonomy.contains_key("swap"), "{:?}", report.taxonomy);
+        const CLASSES: [&str; 8] =
+            ["malformed", "overflow", "deadline", "panic", "busy", "shutdown", "debug", "swap"];
+        assert!(
+            report.taxonomy.keys().all(|k| CLASSES.contains(&k.as_str())),
+            "undocumented taxonomy class: {:?}",
+            report.taxonomy
+        );
         assert_eq!(report.dropped_conns, u64::from(storm_plan().drops));
         assert!(report.completed > 0, "service continued after panics");
         assert_eq!(report.recovery_batches, Some(1), "next batch after a panic succeeds");

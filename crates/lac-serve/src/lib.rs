@@ -23,8 +23,11 @@
 //! and write timeouts instead of blocking dispatch, and the dispatcher
 //! and governor run under panic supervision — a poisoned batch becomes
 //! per-request error frames, the thread restarts, and the crash
-//! counters ride on the extended `PING` health reply. A seeded chaos
-//! harness ([`chaos`]) injects connection drops, fragmented writes,
+//! counters ride on the extended `PING` health reply. Every
+//! per-request and per-batch decision lives in one sans-IO dispatch
+//! core (`dispatch.rs`); the daemon wraps it in threads and sockets,
+//! and a seeded chaos harness ([`chaos`]) drives the same core in
+//! process. The harness injects connection drops, fragmented writes,
 //! oversized frames, dispatcher panics and corrupt checkpoint swaps,
 //! and produces the deterministic `BENCH_resilience.json`.
 //!
@@ -65,6 +68,7 @@
 pub mod batch;
 pub mod chaos;
 pub mod client;
+mod dispatch;
 pub mod governor;
 pub mod loadgen;
 pub mod protocol;

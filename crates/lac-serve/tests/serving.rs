@@ -230,57 +230,52 @@ fn malformed_requests_get_error_frames_not_disconnects() {
     let server = start(full_registry("mul8u_FTA"), 1, 4);
     let mut client = connect(&server);
 
+    // Every refusal is an error frame whose message starts with its
+    // DESIGN.md §10 taxonomy class.
+    let mut expect_error = |req: Request, class: &str, needle: &str| {
+        let want = req.id();
+        match client.round_trip(&req).unwrap() {
+            Response::Error { id, message } => {
+                assert_eq!(id, want);
+                assert!(message.starts_with(class), "want class `{class}`: {message}");
+                assert!(message.contains(needle), "want `{needle}`: {message}");
+            }
+            other => panic!("expected error, got {other:?}"),
+        }
+    };
+    let blur = ServeApp::Blur.code();
+    let ik = ServeApp::InverseK2j.code();
+
     // Unknown kernel code.
-    let req = Request::Infer { kernel: 42, id: 1, values: vec![0.0; 4], deadline_us: None };
-    match client.round_trip(&req).unwrap() {
-        Response::Error { id, message } => {
-            assert_eq!(id, 1);
-            assert!(message.contains("kernel"), "{message}");
-        }
-        other => panic!("expected error, got {other:?}"),
-    }
-
+    expect_error(
+        Request::Infer { kernel: 42, id: 1, values: vec![0.0; 4], deadline_us: None },
+        "malformed: ",
+        "kernel",
+    );
     // Wrong payload length.
-    let req = Request::Infer {
-        kernel: ServeApp::Blur.code(),
-        id: 2,
-        values: vec![1.0; 3],
-        deadline_us: None,
-    };
-    match client.round_trip(&req).unwrap() {
-        Response::Error { id, message } => {
-            assert_eq!(id, 2);
-            assert!(message.contains("1024"), "{message}");
-        }
-        other => panic!("expected error, got {other:?}"),
-    }
-
+    expect_error(
+        Request::Infer { kernel: blur, id: 2, values: vec![1.0; 3], deadline_us: None },
+        "malformed: ",
+        "1024",
+    );
     // Out-of-range pixels.
-    let req = Request::Infer {
-        kernel: ServeApp::Blur.code(),
-        id: 3,
-        values: vec![-5.0; 1024],
-        deadline_us: None,
-    };
-    match client.round_trip(&req).unwrap() {
-        Response::Error { id, .. } => assert_eq!(id, 3),
-        other => panic!("expected error, got {other:?}"),
-    }
-
+    expect_error(
+        Request::Infer { kernel: blur, id: 3, values: vec![-5.0; 1024], deadline_us: None },
+        "malformed: ",
+        "",
+    );
     // Unreachable inverse-kinematics target.
-    let req = Request::Infer {
-        kernel: ServeApp::InverseK2j.code(),
-        id: 4,
-        values: vec![5.0, 5.0],
-        deadline_us: None,
-    };
-    match client.round_trip(&req).unwrap() {
-        Response::Error { id, message } => {
-            assert_eq!(id, 4);
-            assert!(message.contains("reachable"), "{message}");
-        }
-        other => panic!("expected error, got {other:?}"),
-    }
+    expect_error(
+        Request::Infer { kernel: ik, id: 4, values: vec![5.0, 5.0], deadline_us: None },
+        "malformed: ",
+        "reachable",
+    );
+    // A corrupt checkpoint swap is refused; the published model stays.
+    let dir = tmp_dir("malformed");
+    let corrupt = dir.join("corrupt.ck.json");
+    std::fs::write(&corrupt, b"{ this is not a checkpoint").unwrap();
+    let path = corrupt.to_string_lossy().into_owned();
+    expect_error(Request::Swap { id: 6, path }, "swap: ", "corrupt.ck.json");
 
     // The connection survived all of it.
     match client.round_trip(&Request::Ping { id: 5 }).unwrap() {
@@ -290,6 +285,7 @@ fn malformed_requests_get_error_frames_not_disconnects() {
 
     server.shutdown();
     server.join();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

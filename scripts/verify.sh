@@ -56,6 +56,8 @@ fi
 echo "== cargo build --release --offline"
 cargo build --release --offline
 
+# The root manifest's default-members cover the facade and every
+# crate, so these two commands build and test the whole workspace.
 echo "== cargo test -q --offline"
 cargo test -q --offline
 
@@ -123,14 +125,16 @@ echo "== serving suites (framing properties, determinism, hot-swap)"
 cargo test -q --offline -p lac-serve --test protocol_props
 cargo test -q --offline -p lac-serve --test serving
 
-# Resilience suites (DESIGN.md §10): bounded admission sheds with BUSY
-# frames, deadlines expire deterministically on a mock clock, slow
+# Resilience suites (DESIGN.md §10): every refusal from the sans-IO
+# dispatch core carries its taxonomy class, bounded admission sheds
+# with BUSY frames, deadlines expire deterministically on a mock clock, slow
 # readers are condemned without stalling dispatch, an injected
 # dispatcher panic is supervised into error frames plus one restart
 # with byte-identical service around it, and the seeded chaos/overload
 # sweep is byte-identical for any --jobs value and worker count. Named
 # explicitly so a filtered CI configuration cannot silently skip them.
-echo "== resilience suites (chaos harness, admission, deadlines, supervision)"
+echo "== resilience suites (dispatch core, chaos harness, admission, deadlines, supervision)"
+cargo test -q --offline -p lac-serve dispatch::
 cargo test -q --offline -p lac-serve chaos::
 cargo test -q --offline -p lac-serve --test resilience
 
