@@ -1,9 +1,12 @@
-//! Throughput of the `approx_matmul` kernel family at the JPEG/DFT hot
-//! shapes: the scalar trait-object path, the LUT gather kernel, and the
-//! fixed-operand row-tabulated kernels (lhs- and rhs-fixed), plus a full
-//! forward+backward step exercising the fused surrogate-gradient
-//! kernels. All paths are bit-identical (see `tests/matmul_equivalence`);
-//! this suite tracks their relative cost.
+//! Throughput of `approx_matmul` at the JPEG/DFT hot shapes: the scalar
+//! trait-object path against the blocked LUT kernel, the latter with no
+//! operand repeating (`gather`) and with a fixed coefficient matrix on
+//! either side (`fixed_lhs`, `fixed_rhs`), plus a full forward+backward
+//! step exercising the fused surrogate-gradient kernels. Every LUT row
+//! runs the same kernel over the multiplier's `f64` product table; the
+//! ids are kept so results stay comparable with the committed baseline.
+//! All paths are bit-identical (see `tests/matmul_equivalence`); this
+//! suite tracks their relative cost.
 //!
 //! Writes `BENCH_matmul_kernels.json`; see `lac_rt::bench` for the
 //! protocol and `LAC_BENCH_FAST` / `LAC_BENCH_SAMPLES` knobs.
@@ -36,8 +39,8 @@ fn main() {
 
     for n in [8usize, 12] {
         let fixed = operand(n, hi, 1);
-        // Enough distinct partners that the cache (16 entries) never
-        // promotes them: the varying side always takes its cold path.
+        // Distinct varying operands, cycled so no call sees the same
+        // partner as the previous one.
         let partners: Vec<Tensor> = (0..32).map(|s| operand(n, hi, 100 + s)).collect();
 
         // Scalar path: one virtual multiply per product.
@@ -52,7 +55,7 @@ fn main() {
             })
         });
 
-        // Gather kernel: LUT probe per product, no operand repeats.
+        // LUT kernel, no operand repeats.
         group.bench_function(format!("{n}x{n}/gather"), |b| {
             let mut i = 0;
             b.iter(|| {
@@ -64,7 +67,7 @@ fn main() {
             })
         });
 
-        // Row-tabulated kernels: one operand repeats across calls.
+        // LUT kernel with the coefficient matrix fixed across calls.
         group.bench_function(format!("{n}x{n}/fixed_lhs"), |b| {
             let mut i = 0;
             b.iter(|| {

@@ -5,20 +5,25 @@
 //! multiply into a single indexed load. This mirrors the paper's "parallel
 //! versions of the approximate multipliers" engineering (Section III-D):
 //! the goal is simulation throughput, not a change in semantics.
+//!
+//! The table is built once, ahead of time, and stored as the `f64`
+//! products the tensor datapath accumulates, so the matmul kernels read
+//! product rows straight out of it with no per-call conversion. Every
+//! tabulated product has magnitude at most 2^53, where `i64 → f64` is
+//! exact, so the table round-trips the unit's integer outputs.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::mult::{HwMetadata, Multiplier, Signedness};
 
-/// Source of unique table-identity tokens; 0 is reserved for "no identity".
-static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
-
 /// Maximum operand width for which a full product table is built.
 ///
-/// A 10-bit signed table is ~2^22 entries (32 MiB of `i64`); anything wider
+/// A 10-bit signed table is ~2^22 entries (32 MiB of `f64`); anything wider
 /// is cheaper to evaluate directly.
 pub const MAX_LUT_BITS: u32 = 10;
+
+/// Largest product magnitude an `f64` table represents exactly (2^53).
+const MAX_EXACT_PRODUCT: u64 = 1 << 53;
 
 /// A borrowed view of a dense product table: every product of a narrow
 /// multiplier, indexable without virtual dispatch.
@@ -29,50 +34,28 @@ pub const MAX_LUT_BITS: u32 = 10;
 /// products straight out of the table — no trait-object call, no repeated
 /// clamp-path re-derivation per scalar product.
 ///
-/// The table holds `multiply_raw(a, b)` at `(a - lo) * side + (b - lo)`
+/// The table holds `multiply_raw(a, b) as f64` at `(a - lo) * side + (b - lo)`
 /// for every in-range `(a, b)`, so `product(row(a), col(b))` is
-/// bit-identical to `multiply(a.round(), b.round())` on the wrapped unit.
+/// bit-identical to `multiply(a.round(), b.round()) as f64` on the wrapped
+/// unit.
 #[derive(Debug, Clone, Copy)]
 pub struct DenseLut<'a> {
-    table: &'a [i64],
+    table: &'a [f64],
     lo: i64,
     hi: i64,
     side: usize,
-    token: u64,
 }
 
 impl<'a> DenseLut<'a> {
     /// Build a view over a full product table.
     ///
-    /// The view carries no identity token ([`DenseLut::token`] returns 0),
-    /// so cross-call caches treat it as uncacheable. Long-lived tables
-    /// should use [`DenseLut::with_token`].
-    ///
     /// # Panics
     ///
     /// Panics unless `table.len() == side * side` and `side == hi - lo + 1`.
-    pub fn new(table: &'a [i64], lo: i64, hi: i64) -> Self {
+    pub fn new(table: &'a [f64], lo: i64, hi: i64) -> Self {
         let side = (hi - lo + 1) as usize;
         assert_eq!(table.len(), side * side, "dense LUT table/side mismatch");
-        DenseLut { table, lo, hi, side, token: 0 }
-    }
-
-    /// Like [`DenseLut::new`], but stamps the view with a stable identity
-    /// token. Callers promise the token is unique to this table's contents
-    /// for the life of the process (see [`next_lut_token`]); caches keyed
-    /// on it may then assume two views with equal non-zero tokens index
-    /// the same products.
-    pub fn with_token(table: &'a [i64], lo: i64, hi: i64, token: u64) -> Self {
-        let mut lut = DenseLut::new(table, lo, hi);
-        lut.token = token;
-        lut
-    }
-
-    /// Identity token of the underlying table: non-zero and process-unique
-    /// for memoized tables, 0 for anonymous views (never cache those).
-    #[inline(always)]
-    pub fn token(&self) -> u64 {
-        self.token
+        DenseLut { table, lo, hi, side }
     }
 
     /// Inclusive operand range `(lo, hi)` covered by the table.
@@ -95,8 +78,7 @@ impl<'a> DenseLut<'a> {
         ((v.round() as i64).clamp(self.lo, self.hi) - self.lo) as usize
     }
 
-    /// The product at a pre-quantized `(row, col)` index pair, as the `f64`
-    /// the tensor datapath accumulates.
+    /// The product at a pre-quantized `(row, col)` index pair.
     ///
     /// # Panics
     ///
@@ -104,14 +86,15 @@ impl<'a> DenseLut<'a> {
     /// not come from [`DenseLut::row`] / [`DenseLut::col`]).
     #[inline(always)]
     pub fn product(&self, row: usize, col: usize) -> f64 {
-        self.table[row + col] as f64
+        self.table[row + col]
     }
 
-    /// The raw product table, row-major with stride `side`. Fast kernels
-    /// use this to tabulate per-coefficient product rows without going
-    /// through [`DenseLut::product`] per element.
+    /// The raw product table, row-major with stride `side`: the products
+    /// of the operand at row offset `r` are `table()[r..r + side()]`.
+    /// Matmul kernels gather from these rows directly instead of calling
+    /// [`DenseLut::product`] per element.
     #[inline(always)]
-    pub fn table(&self) -> &'a [i64] {
+    pub fn table(&self) -> &'a [f64] {
         self.table
     }
 
@@ -120,15 +103,6 @@ impl<'a> DenseLut<'a> {
     pub fn side(&self) -> usize {
         self.side
     }
-}
-
-/// Allocate a fresh process-unique identity token for a product table.
-///
-/// Tokens are never reused, so a cache keyed by token can never confuse a
-/// newly built table with a freed one that happened to land at the same
-/// address.
-pub fn next_lut_token() -> u64 {
-    NEXT_TOKEN.fetch_add(1, Ordering::Relaxed)
 }
 
 /// A multiplier wrapper that memoizes the full product table of a narrow
@@ -152,8 +126,10 @@ pub struct LutMultiplier {
     inner: Arc<dyn Multiplier>,
     lo: i64,
     side: usize,
-    table: Arc<[i64]>,
-    token: u64,
+    /// An `Arc<Vec<_>>` so the table stays in the allocation it was built
+    /// in; converting to `Arc<[_]>` would allocate and copy every table a
+    /// second time.
+    table: Arc<Vec<f64>>,
 }
 
 impl std::fmt::Debug for LutMultiplier {
@@ -170,8 +146,10 @@ impl LutMultiplier {
     ///
     /// # Panics
     ///
-    /// Panics if `inner.bits() > MAX_LUT_BITS`; use
-    /// [`LutMultiplier::maybe_wrap`] to fall back gracefully.
+    /// Panics if `inner.bits() > MAX_LUT_BITS` (use
+    /// [`LutMultiplier::maybe_wrap`] to fall back gracefully), or if any
+    /// product has magnitude above 2^53, which the `f64` table could not
+    /// hold exactly.
     pub fn new(inner: Arc<dyn Multiplier>) -> Self {
         assert!(
             inner.bits() <= MAX_LUT_BITS,
@@ -182,12 +160,20 @@ impl LutMultiplier {
         let (lo, hi) = inner.operand_range();
         let side = (hi - lo + 1) as usize;
         let mut table = Vec::with_capacity(side * side);
+        let mut max_abs = 0;
         for a in lo..=hi {
             for b in lo..=hi {
-                table.push(inner.multiply_raw(a, b));
+                let p = inner.multiply_raw(a, b);
+                max_abs = max_abs.max(p.unsigned_abs());
+                table.push(p as f64);
             }
         }
-        LutMultiplier { inner, lo, side, table: table.into(), token: next_lut_token() }
+        assert!(
+            max_abs <= MAX_EXACT_PRODUCT,
+            "refusing to tabulate multiplier {}: product magnitude {max_abs} exceeds 2^53",
+            inner.name()
+        );
+        LutMultiplier { inner, lo, side, table: Arc::new(table) }
     }
 
     /// Wrap `inner` in a LUT when it is narrow enough, otherwise return it
@@ -228,7 +214,7 @@ impl Multiplier for LutMultiplier {
     fn multiply_raw(&self, a: i64, b: i64) -> i64 {
         let ia = (a - self.lo) as usize;
         let ib = (b - self.lo) as usize;
-        self.table[ia * self.side + ib]
+        self.table[ia * self.side + ib] as i64
     }
 
     /// Clamp against the cached bounds and index the table directly.
@@ -241,16 +227,11 @@ impl Multiplier for LutMultiplier {
         let hi = self.lo + self.side as i64 - 1;
         let ia = (a.clamp(self.lo, hi) - self.lo) as usize;
         let ib = (b.clamp(self.lo, hi) - self.lo) as usize;
-        self.table[ia * self.side + ib]
+        self.table[ia * self.side + ib] as i64
     }
 
     fn as_lut(&self) -> Option<DenseLut<'_>> {
-        Some(DenseLut::with_token(
-            &self.table,
-            self.lo,
-            self.lo + self.side as i64 - 1,
-            self.token,
-        ))
+        Some(DenseLut::new(&self.table, self.lo, self.lo + self.side as i64 - 1))
     }
 
     fn metadata(&self) -> HwMetadata {
@@ -341,7 +322,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "table/side mismatch")]
     fn dense_lut_validates_geometry() {
-        let table = [0i64; 5];
+        let table = [0.0f64; 5];
         let _ = DenseLut::new(&table, 0, 2);
     }
 
@@ -351,5 +332,33 @@ mod tests {
         let wide: Arc<dyn Multiplier> =
             Arc::new(ExactMultiplier::new(16, Signedness::Unsigned));
         let _ = LutMultiplier::new(wide);
+    }
+
+    /// A unit whose products the `f64` table could not hold exactly.
+    #[derive(Debug)]
+    struct Huge;
+
+    impl Multiplier for Huge {
+        fn name(&self) -> &str {
+            "huge2u"
+        }
+        fn bits(&self) -> u32 {
+            2
+        }
+        fn signedness(&self) -> Signedness {
+            Signedness::Unsigned
+        }
+        fn multiply_raw(&self, _: i64, _: i64) -> i64 {
+            1 << 60
+        }
+        fn metadata(&self) -> HwMetadata {
+            HwMetadata::default()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "refusing to tabulate multiplier huge2u")]
+    fn rejects_products_beyond_f64_precision() {
+        let _ = LutMultiplier::new(Arc::new(Huge));
     }
 }

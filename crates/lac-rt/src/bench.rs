@@ -25,9 +25,9 @@
 //! directory (for `cargo bench`, the crate root of the bench target):
 //!
 //! ```json
-//! {"suite":"mul_throughput","benches":[
-//!   {"id":"mul_throughput/ETM8-k4/lut","median_ns":12.3,
-//!    "mean_ns":12.5,"min_ns":12.1,"samples":11,"iters_per_sample":65536}]}
+//! {"suite":"matmul_kernels","benches":[
+//!   {"id":"matmul_kernels/8x8/gather","median_ns":1707.7,
+//!    "mean_ns":1713.4,"min_ns":1664.4,"samples":11,"iters_per_sample":8192}]}
 //! ```
 //!
 //! # Usage

@@ -36,8 +36,8 @@ fn approx_product(mult: &dyn Multiplier, a: f64, b: f64) -> f64 {
 // straight out of the table. Values and accumulation order are
 // bit-identical to the trait-object path: `DenseLut::row`/`col` perform
 // exactly the round-and-clamp of `Multiplier::multiply`, the table holds
-// the unit's own `multiply_raw` outputs, and the loops mirror the slow
-// path's iteration order statement for statement.
+// the unit's own `multiply_raw` outputs as `f64`, and every output
+// element accumulates its products in the slow path's order.
 // ---------------------------------------------------------------------
 
 /// Fast-path forward of [`Var::approx_conv2d`]: same-padded convolution
@@ -70,6 +70,47 @@ fn approx_conv2d_lut(x: &Tensor, k: &Tensor, lut: DenseLut<'_>) -> Tensor {
     out
 }
 
+/// Forward of [`Var::approx_conv2d`], LUT fast path or trait-object path.
+fn approx_conv2d_forward(x: &Tensor, k: &Tensor, mult: &Arc<dyn Multiplier>) -> Tensor {
+    match mult.as_lut() {
+        Some(lut) => approx_conv2d_lut(x, k, lut),
+        None => conv2d_forward(x, k, |tap, pixel| approx_product(&**mult, tap, pixel)),
+    }
+}
+
+/// Forward of [`Var::approx_matmul`]: the blocked LUT kernel when the
+/// unit exposes its table (bit-identical to the loop below; see
+/// `matmul_fast`'s bit-equivalence contract), else one virtual multiply
+/// per product in the `i-j-p` reference order.
+fn approx_matmul_forward(a: &Tensor, b: &Tensor, mult: &Arc<dyn Multiplier>) -> Tensor {
+    let (m, k) = a.dims2("approx_matmul lhs");
+    let (k2, n) = b.dims2("approx_matmul rhs");
+    assert_eq!(k, k2, "approx_matmul inner dimension mismatch: {k} vs {k2}");
+    if let Some(lut) = mult.as_lut() {
+        return matmul_fast::matmul_lut(a, b, lut);
+    }
+    let mut out = Tensor::zeros(&[m, n]);
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0;
+            for p in 0..k {
+                acc += approx_product(&**mult, a.data()[i * k + p], b.data()[p * n + j]);
+            }
+            out.data_mut()[i * n + j] = acc;
+        }
+    }
+    out
+}
+
+/// Forward of [`Var::approx_mul_elem`]: `mult(a_i, b_i)` per element.
+fn approx_mul_elem_forward(a: &Tensor, b: &Tensor, mult: &Arc<dyn Multiplier>) -> Tensor {
+    if let Some(lut) = mult.as_lut() {
+        a.zip_map(b, |x, y| lut.product(lut.row(x), lut.col(y)))
+    } else {
+        a.zip_map(b, |x, y| approx_product(&**mult, x, y))
+    }
+}
+
 impl Var {
     /// 2-D matrix product computed on approximate hardware.
     ///
@@ -99,27 +140,7 @@ impl Var {
         assert!(self.same_tape(other), "approx_matmul: operands belong to different graphs");
         let a = self.value();
         let b = other.value();
-        let (m, k) = a.dims2("approx_matmul lhs");
-        let (k2, n) = b.dims2("approx_matmul rhs");
-        assert_eq!(k, k2, "approx_matmul inner dimension mismatch: {k} vs {k2}");
-
-        let out = if let Some(lut) = mult.as_lut() {
-            // Blocked row-tabulated kernels (bit-identical to the loop
-            // below; see `matmul_fast`'s bit-equivalence contract).
-            matmul_fast::matmul_lut(&a, &b, lut)
-        } else {
-            let mut out = Tensor::zeros(&[m, n]);
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0.0;
-                    for p in 0..k {
-                        acc += approx_product(&**mult, a.data()[i * k + p], b.data()[p * n + j]);
-                    }
-                    out.data_mut()[i * n + j] = acc;
-                }
-            }
-            out
-        };
+        let out = approx_matmul_forward(&a, &b, mult);
 
         let graph = self.graph();
         let id = graph.push(
@@ -160,26 +181,7 @@ impl Var {
         );
         let a = self.value();
         let b = other.value();
-        let (m, k) = a.dims2("approx_matmul lhs");
-        let (k2, n) = b.dims2("approx_matmul rhs");
-        assert_eq!(k, k2, "approx_matmul inner dimension mismatch: {k} vs {k2}");
-
-        let product = if let Some(lut) = mult.as_lut() {
-            matmul_fast::matmul_lut(&a, &b, lut)
-        } else {
-            let mut out = Tensor::zeros(&[m, n]);
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0.0;
-                    for p in 0..k {
-                        acc += approx_product(&**mult, a.data()[i * k + p], b.data()[p * n + j]);
-                    }
-                    out.data_mut()[i * n + j] = acc;
-                }
-            }
-            out
-        };
-        let value = product.map(|v| (v * c).round());
+        let value = approx_matmul_forward(&a, &b, mult).map(|v| (v * c).round());
 
         let graph = self.graph();
         let id = graph.push(
@@ -208,12 +210,7 @@ impl Var {
         assert!(self.same_tape(kernel), "approx_conv2d: operands belong to different graphs");
         let x = self.value();
         let k = kernel.value();
-        let value = if let Some(lut) = mult.as_lut() {
-            approx_conv2d_lut(&x, &k, lut)
-        } else {
-            let m = Arc::clone(mult);
-            conv2d_forward(&x, &k, |tap, pixel| approx_product(&*m, tap, pixel))
-        };
+        let value = approx_conv2d_forward(&x, &k, mult);
 
         let graph = self.graph();
         let id = graph.push(
@@ -274,11 +271,7 @@ impl Var {
         for band in 0..h / img_h {
             let src = &x.data()[band * band_len..(band + 1) * band_len];
             let img = Tensor::from_vec(src.to_vec(), &[img_h, w]);
-            let conv = if let Some(lut) = mult.as_lut() {
-                approx_conv2d_lut(&img, &k, lut)
-            } else {
-                conv2d_forward(&img, &k, |tap, pixel| approx_product(&**mult, tap, pixel))
-            };
+            let conv = approx_conv2d_forward(&img, &k, mult);
             out.data_mut()[band * band_len..(band + 1) * band_len]
                 .copy_from_slice(conv.data());
         }
@@ -364,11 +357,7 @@ impl Var {
         assert!(self.same_tape(other), "approx_mul_elem: operands belong to different graphs");
         let a = self.value();
         let b = other.value();
-        let value = if let Some(lut) = mult.as_lut() {
-            a.zip_map(&b, |x, y| lut.product(lut.row(x), lut.col(y)))
-        } else {
-            a.zip_map(&b, |x, y| approx_product(&**mult, x, y))
-        };
+        let value = approx_mul_elem_forward(&a, &b, mult);
 
         let graph = self.graph();
         let id = graph.push(
@@ -397,12 +386,7 @@ impl Var {
         );
         let a = self.value();
         let b = other.value();
-        let value = if let Some(lut) = mult.as_lut() {
-            a.zip_map(&b, |x, y| lut.product(lut.row(x), lut.col(y)))
-        } else {
-            a.zip_map(&b, |x, y| approx_product(&**mult, x, y))
-        }
-        .map(|v| v * c);
+        let value = approx_mul_elem_forward(&a, &b, mult).map(|v| v * c);
 
         let graph = self.graph();
         let id = graph.push(

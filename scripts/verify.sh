@@ -94,7 +94,7 @@ cargo test -q --offline -p lac-rt --test jobqueue
 # Kernel bit-equivalence battery (DESIGN.md §7d): the blocked LUT-matmul
 # fast path must stay bit-identical to the scalar trait-object path for
 # every catalog unit (healthy, signed-adapted, and fault-injected),
-# across repeated-operand tabulation and worker counts, and the JPEG
+# across repeated fixed operands and worker counts, and the JPEG
 # golden pin must keep reproducing the pre-kernel-swap training
 # trajectory bit-for-bit. Named explicitly so a filtered CI
 # configuration cannot silently skip them.

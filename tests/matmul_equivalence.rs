@@ -2,12 +2,12 @@
 //!
 //! `approx_matmul` has two implementations that must be observably one:
 //! the scalar trait-object path (one virtual `multiply` per product) and
-//! the LUT fast path in `lac-tensor::matmul_fast` (row-tabulated,
-//! cache-blocked, with fused surrogate-gradient kernels). These tests pin
-//! the contract from DESIGN.md §7d: for every catalog unit — healthy or
-//! fault-injected — forward values and surrogate gradients are
-//! bit-identical across the two paths, across repeated calls (which move
-//! the fast path from gather to fixed-operand tabulated kernels), and
+//! the LUT fast path in `lac-tensor::matmul_fast` (one cache-blocked
+//! gather kernel over the `f64` product table, with fused
+//! surrogate-gradient kernels). These tests pin the contract from
+//! DESIGN.md §7d: for every catalog unit — healthy or fault-injected —
+//! forward values and surrogate gradients are bit-identical across the
+//! two paths, across repeated calls with one operand held fixed, and
 //! across worker counts.
 
 use std::sync::Arc;
@@ -39,8 +39,8 @@ fn random_operand(rng: &mut StdRng, rows: usize, cols: usize, lo: i64, hi: i64) 
 }
 
 /// Scalar path (raw unit) vs fast path (LUT-wrapped) over random shapes,
-/// repeating each product so the fast path graduates from the gather
-/// kernel to the fixed-operand tabulated kernels on both sides.
+/// repeating each product with one operand held fixed on either side, as
+/// the training loop holds its coefficient matrix.
 fn assert_paths_equivalent(raw: Arc<dyn Multiplier>, seed: u64) {
     let fast = LutMultiplier::maybe_wrap(Arc::clone(&raw));
     let (lo, hi) = raw.operand_range();
@@ -53,9 +53,8 @@ fn assert_paths_equivalent(raw: Arc<dyn Multiplier>, seed: u64) {
         );
         let a = random_operand(&mut rng, m, k, lo, hi);
         let b = random_operand(&mut rng, k, n, lo, hi);
-        // Fixed lhs, varying rhs — then the converse. Three sightings
-        // each: the fast path's per-thread cache promotes a repeated
-        // operand to a tabulated row table on the second sighting.
+        // Fixed lhs, varying rhs — then the converse. Three calls each:
+        // repeated calls must stay bit-identical to the scalar path.
         for rep in 0..3 {
             let b2 = if rep == 0 { b.clone() } else { random_operand(&mut rng, k, n, lo, hi) };
             let scalar = run(&raw, &a, &b2);
@@ -109,8 +108,8 @@ fn run_conv_stacked(
 /// Scalar vs fast path at the CNN layer dimensions: the non-square dense
 /// head (classes x h*w times a flattened activation column, hitting the
 /// n == 1 matrix-vector kernels), the same shape through the fused
-/// scale-round node, and the batch-stacked 3x3 convolution. Repeats pin
-/// the fixed-operand tabulated kernels, not just the gather path.
+/// scale-round node, and the batch-stacked 3x3 convolution. Repeats hold
+/// one operand fixed across calls, as training and serving do.
 fn assert_cnn_shapes_equivalent(raw: Arc<dyn Multiplier>, seed: u64) {
     let fast = LutMultiplier::maybe_wrap(Arc::clone(&raw));
     let (lo, hi) = raw.operand_range();
@@ -118,7 +117,7 @@ fn assert_cnn_shapes_equivalent(raw: Arc<dyn Multiplier>, seed: u64) {
 
     // Dense head: weights [4, 256] x flattened activations [256, 1].
     // Fixed lhs (the trained weights) against varying activation columns
-    // — three sightings promote the weights to a tabulated row table.
+    // — three calls with the same weights.
     let w = random_operand(&mut rng, 4, 256, lo, hi);
     for rep in 0..3 {
         let col = random_operand(&mut rng, 256, 1, lo, hi);
@@ -131,7 +130,7 @@ fn assert_cnn_shapes_equivalent(raw: Arc<dyn Multiplier>, seed: u64) {
         assert_eq!(scalar, lut, "{}: dense scale-round rep {rep}", raw.name());
     }
     // Fixed rhs: one activation column against varying weight matrices
-    // (the converse fixed-operand cache, also an n == 1 kernel).
+    // (the converse fixed operand, also the n == 1 branch).
     let col = random_operand(&mut rng, 256, 1, lo, hi);
     for rep in 0..3 {
         let w2 = random_operand(&mut rng, 4, 256, lo, hi);
@@ -214,8 +213,8 @@ fn fault_injected_units_are_bit_identical_at_cnn_shapes() {
     }
 }
 
-/// The fixed-operand cache is per-thread, so worker count must not leak
-/// into results: batch gradients at 1, 2, and 4 threads are bit-identical.
+/// Worker count must not leak into results: batch gradients at 1, 2, and
+/// 4 threads are bit-identical.
 #[test]
 fn jpeg_batch_grads_bit_identical_across_thread_counts() {
     use lac::apps::{JpegApp, JpegMode, Kernel};
