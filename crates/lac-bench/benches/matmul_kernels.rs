@@ -11,7 +11,7 @@
 //! Writes `BENCH_matmul_kernels.json`; see `lac_rt::bench` for the
 //! protocol and `LAC_BENCH_FAST` / `LAC_BENCH_SAMPLES` knobs.
 
-use lac_hw::{catalog, signed_capable, LutMultiplier, Multiplier};
+use lac_hw::{catalog, signed_capable, LutMultiplier};
 use lac_rt::bench::Harness;
 use lac_tensor::{Graph, Tensor};
 use std::hint::black_box;

@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use lac_apps::{FilterApp, FilterKind, Kernel, StageMode};
 use lac_core::{
-    batch_grads, batch_outputs, batch_references, quality, search_single_observed,
-    train_fixed_observed, BinaryGate, TrainObserver,
+    batch_grads, batch_outputs, batch_references, quality, search_single, train_fixed_observed,
+    BinaryGate, TrainObserver,
 };
 use lac_hw::Multiplier;
 use lac_rt::rng::{RngExt, SeedableRng, StdRng};
@@ -121,15 +121,7 @@ pub fn run_ablation(
         },
         AblationVariant::TwoPathNas => {
             let candidates = adapted_catalog(&app);
-            let two = search_single_observed(
-                &app,
-                &candidates,
-                &data.train,
-                &data.test,
-                &cfg,
-                2.0,
-                obs,
-            );
+            let two = search_single(&app, &candidates, &data.train, &data.test, &cfg, 2.0, obs);
             AblationOutcome {
                 quality: two.quality,
                 note: format!("chose {}", two.chosen_name()),

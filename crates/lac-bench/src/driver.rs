@@ -9,7 +9,7 @@
 //! ([`crate::sched`]) can divide the machine between concurrently
 //! running cells. Experiment binaries never call these directly: they
 //! declare [`crate::sched::UnitJob`]s and let the scheduler execute
-//! them (enforced by `scripts/verify.sh`).
+//! them (enforced by `tests/sweep_guard.rs`).
 
 use std::sync::Arc;
 
@@ -18,10 +18,9 @@ use lac_apps::{
     StageMode,
 };
 use lac_core::{
-    brute_force_observed, greedy_multi_observed, search_accuracy_constrained_observed,
-    search_multi_observed, search_single_observed, train_fixed_multistart_observed,
-    train_fixed_observed, BruteForceResult, Constraint, FixedResult, MultiNasResult,
-    MultiObjective, NasResult, TrainError, TrainObserver,
+    brute_force, greedy_multi, search_accuracy_constrained, search_multi, search_single,
+    train_fixed_multistart, train_fixed_observed, BruteForceResult, Constraint, FixedResult,
+    MultiNasResult, MultiObjective, NasResult, TrainError, TrainObserver,
 };
 use lac_hw::Multiplier;
 
@@ -194,7 +193,7 @@ macro_rules! dispatch {
 ///
 /// Returns a human-readable message naming the spec on catalog-lookup or
 /// fault-parse failure, or the rendered [`TrainError`] on divergence.
-pub fn fixed_spec_observed(
+pub fn fixed_spec(
     app: AppId,
     spec: &str,
     threads: usize,
@@ -220,8 +219,8 @@ pub fn fixed_spec_observed(
 ///
 /// # Errors
 ///
-/// Same contract as [`fixed_spec_observed`].
-pub fn multistart_spec_observed(
+/// Same contract as [`fixed_spec`].
+pub fn multistart_spec(
     app: AppId,
     spec: &str,
     scale_bits: &[u32],
@@ -239,7 +238,7 @@ pub fn multistart_spec_observed(
     ) -> Result<FixedResult, String> {
         let raw = lac_hw::catalog::by_spec(spec)?;
         let mult = kernel.adapt(&lac_hw::LutMultiplier::maybe_wrap(raw));
-        train_fixed_multistart_observed(kernel, &mult, train, test, &cfg, scale_bits, obs)
+        train_fixed_multistart(kernel, &mult, train, test, &cfg, scale_bits, obs)
             .map_err(|e| e.to_string())
     }
     dispatch!(app, threads, shim, spec, scale_bits, obs)
@@ -282,7 +281,7 @@ pub const NAS_EPOCH_FACTOR: usize = 3;
 /// Single-gate NAS with an explicit iteration-budget factor (Figs. 7–9
 /// use [`NAS_EPOCH_FACTOR`]; Table IV's runtime comparison uses factor 1:
 /// the same budget as one fixed run).
-pub fn nas_search_budgeted_observed(
+pub fn nas_search_budgeted(
     app: AppId,
     constraint: Constraint,
     gate_lr: f64,
@@ -308,13 +307,13 @@ pub fn nas_search_budgeted_observed(
             "constraint {constraint:?} admits no candidates for {}",
             kernel.name()
         );
-        search_single_observed(kernel, &candidates, train, test, &cfg, gate_lr, obs)
+        search_single(kernel, &candidates, train, test, &cfg, gate_lr, obs)
     }
     dispatch!(app, threads, inner, constraint, gate_lr, epoch_factor, obs)
 }
 
 /// Accuracy-constrained single-gate NAS (Fig. 10).
-pub fn nas_accuracy_observed(
+pub fn nas_accuracy(
     app: AppId,
     target: f64,
     delta: f64,
@@ -335,7 +334,7 @@ pub fn nas_accuracy_observed(
         let epochs = cfg.epochs * NAS_EPOCH_FACTOR;
         let cfg = cfg.epochs(epochs);
         let candidates = adapted_catalog(kernel);
-        search_accuracy_constrained_observed(
+        search_accuracy_constrained(
             kernel, &candidates, train, test, &cfg, gate_lr, target, delta, obs,
         )
     }
@@ -348,7 +347,7 @@ pub fn nas_accuracy_observed(
 ///
 /// Returns [`TrainError::Diverged`] if any candidate's training exhausts
 /// its rollback budget.
-pub fn brute_force_all_observed(
+pub fn brute_force_all(
     app: AppId,
     threads: usize,
     obs: &mut dyn TrainObserver,
@@ -361,100 +360,49 @@ pub fn brute_force_all_observed(
         obs: &mut dyn TrainObserver,
     ) -> Result<BruteForceResult, TrainError> {
         let candidates = adapted_catalog(kernel);
-        brute_force_observed(kernel, &candidates, train, test, &cfg, obs)
+        brute_force(kernel, &candidates, train, test, &cfg, obs)
     }
     dispatch!(app, threads, body, obs)
 }
 
-/// Build a multi-hardware pipeline's kernel, dataset, and base config and
-/// hand them to `body` (the Figs. 11–12 / Table IV kernels both take
-/// image samples, so one monomorphization suffices).
-fn with_pipeline<R>(
-    pipeline: MultiPipeline,
-    threads: usize,
-    body: impl FnOnce(
-        &dyn PipelineKernel,
-        &[lac_data::GrayImage],
-        &[lac_data::GrayImage],
-        lac_core::TrainConfig,
-    ) -> R,
-) -> R {
-    let (sizing, lr) = pipeline.app_id().sizing();
-    let cfg = sizing.config(lr).threads(threads);
-    let ds = sizing.image_dataset();
-    match pipeline {
-        MultiPipeline::BlurPerTap => {
-            let kernel = FilterApp::new(FilterKind::GaussianBlur, StageMode::PerTap);
-            body(&kernel, &ds.train, &ds.test, cfg)
+/// Build a multi-hardware pipeline's kernel, dataset, and base config,
+/// bind them to the given names, and evaluate `$body` — expanded once per
+/// pipeline kernel, so each arm is monomorphized like `dispatch!`'s
+/// shims.
+macro_rules! with_pipeline {
+    ($pipeline:expr, $threads:expr,
+     |$kernel:ident, $train:ident, $test:ident, $cfg:ident| $body:expr) => {{
+        let (sizing, lr) = $pipeline.app_id().sizing();
+        let $cfg = sizing.config(lr).threads($threads);
+        let ds = sizing.image_dataset();
+        let ($train, $test) = (&ds.train, &ds.test);
+        match $pipeline {
+            MultiPipeline::BlurPerTap => {
+                let $kernel = &FilterApp::new(FilterKind::GaussianBlur, StageMode::PerTap);
+                $body
+            }
+            MultiPipeline::Jpeg3Stage => {
+                let $kernel = &JpegApp::new(JpegMode::ThreeStage);
+                $body
+            }
         }
-        MultiPipeline::Jpeg3Stage => {
-            let kernel = JpegApp::new(JpegMode::ThreeStage);
-            body(&kernel, &ds.train, &ds.test, cfg)
-        }
-    }
-}
-
-/// Object-safe shim over the two pipeline kernels so [`with_pipeline`]
-/// needs no generic plumbing at the call sites.
-trait PipelineKernel {
-    fn search_multi(
-        &self,
-        train: &[lac_data::GrayImage],
-        test: &[lac_data::GrayImage],
-        cfg: &lac_core::TrainConfig,
-        gate_lr: f64,
-        objective: MultiObjective,
-        obs: &mut dyn TrainObserver,
-    ) -> MultiNasResult;
-    fn greedy_multi(
-        &self,
-        train: &[lac_data::GrayImage],
-        test: &[lac_data::GrayImage],
-        cfg: &lac_core::TrainConfig,
-        objective: MultiObjective,
-        obs: &mut dyn TrainObserver,
-    ) -> MultiNasResult;
-}
-
-impl<K: Kernel<Sample = lac_data::GrayImage> + Sync> PipelineKernel for K {
-    fn search_multi(
-        &self,
-        train: &[lac_data::GrayImage],
-        test: &[lac_data::GrayImage],
-        cfg: &lac_core::TrainConfig,
-        gate_lr: f64,
-        objective: MultiObjective,
-        obs: &mut dyn TrainObserver,
-    ) -> MultiNasResult {
-        let candidates = adapted_catalog(self);
-        search_multi_observed(self, &candidates, train, test, cfg, gate_lr, objective, obs)
-    }
-    fn greedy_multi(
-        &self,
-        train: &[lac_data::GrayImage],
-        test: &[lac_data::GrayImage],
-        cfg: &lac_core::TrainConfig,
-        objective: MultiObjective,
-        obs: &mut dyn TrainObserver,
-    ) -> MultiNasResult {
-        let candidates = adapted_catalog(self);
-        greedy_multi_observed(self, &candidates, train, test, cfg, objective, obs)
-    }
+    }};
 }
 
 /// Multi-hardware NAS over a pipeline (Figs. 11–12 / Table IV): one
 /// binarized gate per stage, `epoch_factor` × the fixed-training budget
 /// (multiple gates share the sampling budget).
-pub fn multi_nas_observed(
+pub fn multi_nas(
     pipeline: MultiPipeline,
     epoch_factor: usize,
     objective: MultiObjective,
     threads: usize,
     obs: &mut dyn TrainObserver,
 ) -> MultiNasResult {
-    with_pipeline(pipeline, threads, |kernel, train, test, cfg| {
+    with_pipeline!(pipeline, threads, |kernel, train, test, cfg| {
         let cfg = cfg.clone().epochs(cfg.epochs * epoch_factor.max(1));
-        kernel.search_multi(train, test, &cfg, 1.0, objective, obs)
+        let candidates = adapted_catalog(kernel);
+        search_multi(kernel, &candidates, train, test, &cfg, 1.0, objective, obs)
     })
 }
 
@@ -462,15 +410,16 @@ pub fn multi_nas_observed(
 /// Greedy "brute forces all options" with real per-option training: a
 /// quarter of the fixed budget per option, times stages × candidates —
 /// the Table IV runtime blow-up.
-pub fn greedy_multi_pipeline_observed(
+pub fn greedy_multi_pipeline(
     pipeline: MultiPipeline,
     objective: MultiObjective,
     threads: usize,
     obs: &mut dyn TrainObserver,
 ) -> MultiNasResult {
-    with_pipeline(pipeline, threads, |kernel, train, test, cfg| {
+    with_pipeline!(pipeline, threads, |kernel, train, test, cfg| {
         let cfg = cfg.clone().epochs(if quick() { 2 } else { (cfg.epochs / 4).max(1) });
-        kernel.greedy_multi(train, test, &cfg, objective, obs)
+        let candidates = adapted_catalog(kernel);
+        greedy_multi(kernel, &candidates, train, test, &cfg, objective, obs)
     })
 }
 
@@ -503,13 +452,13 @@ fn with_cnn<R>(
 }
 
 /// Fixed-hardware LAC for the CNN classifier under a multiplier spec
-/// (same spec grammar and error contract as [`fixed_spec_observed`]).
+/// (same spec grammar and error contract as [`fixed_spec`]).
 ///
 /// # Errors
 ///
 /// Returns a message naming the spec on catalog-lookup or fault-parse
 /// failure, or the rendered [`TrainError`] on divergence.
-pub fn cnn_fixed_observed(
+pub fn cnn_fixed(
     spec: &str,
     threads: usize,
     obs: &mut dyn TrainObserver,
@@ -550,7 +499,7 @@ pub fn cnn_untrained(spec: &str, threads: usize) -> Result<(String, f64), String
 /// assignment meeting the mean-area budget (even with zero-area units
 /// everywhere else), and keeping infeasible units in the supernet only
 /// dilutes the shared coefficients' training signal.
-pub fn cnn_per_layer_nas_observed(
+pub fn cnn_per_layer_nas(
     epoch_factor: usize,
     area_threshold: f64,
     gamma: f64,
@@ -568,7 +517,7 @@ pub fn cnn_per_layer_nas_observed(
             "area threshold {area_threshold} admits no candidates for {}",
             kernel.name()
         );
-        search_multi_observed(kernel, &candidates, train, test, &cfg, 1.0, objective, obs)
+        search_multi(kernel, &candidates, train, test, &cfg, 1.0, objective, obs)
     })
 }
 

@@ -14,8 +14,7 @@
 //!   worker-count-invariant; see `lac_rt::par`).
 //! * **Failures are rows, not crashes**: a panicking or structurally
 //!   failing cell becomes `Err(message)` in its slot (and an
-//!   `ErrorEvent` in its run log), and the sweep continues — the PR 4
-//!   `run_caught` semantics, now per cell.
+//!   `ErrorEvent` in its run log), and the sweep continues.
 //!
 //! Completed cells are stored in a content-addressed cache
 //! (`results/cache/<fnv-hash>.json`, see [`crate::cache`]) keyed by a
@@ -46,7 +45,8 @@ use crate::cache;
 
 /// One sweep cell, as data: what to train/search/evaluate. Binaries
 /// declare these; only the scheduler executes them (enforced by
-/// `scripts/verify.sh`, which greps `src/bin` for direct trainer calls).
+/// `tests/sweep_guard.rs`, which scans `src/bin` for direct trainer and
+/// driver calls).
 #[derive(Debug, Clone, PartialEq)]
 pub enum UnitJob {
     /// Fixed-hardware LAC for one multiplier spec (Figs. 3–4, fault
@@ -591,7 +591,7 @@ fn execute(unit: &UnitJob, threads: usize, obs: &mut dyn TrainObserver) -> Resul
     let text = |k: &str, v: &str| (k.to_owned(), Value::Str(v.to_owned()));
     match unit {
         UnitJob::Fixed { app, spec } => {
-            let r = driver::fixed_spec_observed(*app, spec, threads, obs)?;
+            let r = driver::fixed_spec(*app, spec, threads, obs)?;
             Ok(Value::Obj(vec![
                 text("multiplier", &r.multiplier),
                 num("before", r.before),
@@ -603,7 +603,7 @@ fn execute(unit: &UnitJob, threads: usize, obs: &mut dyn TrainObserver) -> Resul
             Ok(Value::Obj(vec![text("multiplier", &name), num("quality", q)]))
         }
         UnitJob::Multistart { app, spec, scale_bits } => {
-            let r = driver::multistart_spec_observed(*app, spec, scale_bits, threads, obs)?;
+            let r = driver::multistart_spec(*app, spec, scale_bits, threads, obs)?;
             Ok(Value::Obj(vec![
                 text("multiplier", &r.multiplier),
                 num("before", r.before),
@@ -611,13 +611,8 @@ fn execute(unit: &UnitJob, threads: usize, obs: &mut dyn TrainObserver) -> Resul
             ]))
         }
         UnitJob::Nas { app, constraint, gate_lr, epoch_factor } => {
-            let r = driver::nas_search_budgeted_observed(
-                *app,
-                *constraint,
-                *gate_lr,
-                *epoch_factor,
-                threads,
-                obs,
+            let r = driver::nas_search_budgeted(
+                *app, *constraint, *gate_lr, *epoch_factor, threads, obs,
             );
             Ok(Value::Obj(vec![
                 text("chosen", r.chosen_name()),
@@ -626,7 +621,7 @@ fn execute(unit: &UnitJob, threads: usize, obs: &mut dyn TrainObserver) -> Resul
             ]))
         }
         UnitJob::NasAccuracy { app, target, delta, gate_lr } => {
-            let r = driver::nas_accuracy_observed(*app, *target, *delta, *gate_lr, threads, obs);
+            let r = driver::nas_accuracy(*app, *target, *delta, *gate_lr, threads, obs);
             Ok(Value::Obj(vec![
                 text("chosen", r.chosen_name()),
                 num("quality", r.quality),
@@ -634,8 +629,7 @@ fn execute(unit: &UnitJob, threads: usize, obs: &mut dyn TrainObserver) -> Resul
             ]))
         }
         UnitJob::BruteForce { app } => {
-            let r = driver::brute_force_all_observed(*app, threads, obs)
-                .map_err(|e| e.to_string())?;
+            let r = driver::brute_force_all(*app, threads, obs).map_err(|e| e.to_string())?;
             let rows = r
                 .results
                 .iter()
@@ -655,7 +649,7 @@ fn execute(unit: &UnitJob, threads: usize, obs: &mut dyn TrainObserver) -> Resul
                 gamma: *gamma,
                 delta: *delta,
             };
-            let r = driver::multi_nas_observed(*pipeline, *epoch_factor, objective, threads, obs);
+            let r = driver::multi_nas(*pipeline, *epoch_factor, objective, threads, obs);
             Ok(multi_payload(&r))
         }
         UnitJob::GreedyMulti { pipeline, area_threshold, gamma, delta } => {
@@ -664,7 +658,7 @@ fn execute(unit: &UnitJob, threads: usize, obs: &mut dyn TrainObserver) -> Resul
                 gamma: *gamma,
                 delta: *delta,
             };
-            let r = driver::greedy_multi_pipeline_observed(*pipeline, objective, threads, obs);
+            let r = driver::greedy_multi_pipeline(*pipeline, objective, threads, obs);
             Ok(multi_payload(&r))
         }
         UnitJob::Ablation { variant } => {
@@ -685,7 +679,7 @@ fn execute(unit: &UnitJob, threads: usize, obs: &mut dyn TrainObserver) -> Resul
             ]))
         }
         UnitJob::CnnFixed { spec } => {
-            let r = driver::cnn_fixed_observed(spec, threads, obs)?;
+            let r = driver::cnn_fixed(spec, threads, obs)?;
             Ok(Value::Obj(vec![
                 text("multiplier", &r.multiplier),
                 num("before", r.before),
@@ -697,13 +691,8 @@ fn execute(unit: &UnitJob, threads: usize, obs: &mut dyn TrainObserver) -> Resul
             Ok(Value::Obj(vec![text("multiplier", &name), num("quality", q)]))
         }
         UnitJob::CnnPerLayerNas { epoch_factor, area_threshold, gamma, delta } => {
-            let r = driver::cnn_per_layer_nas_observed(
-                *epoch_factor,
-                *area_threshold,
-                *gamma,
-                *delta,
-                threads,
-                obs,
+            let r = driver::cnn_per_layer_nas(
+                *epoch_factor, *area_threshold, *gamma, *delta, threads, obs,
             );
             Ok(multi_payload(&r))
         }

@@ -31,8 +31,8 @@ use lac_apps::{
     CnnApp, DftApp, FilterApp, FilterKind, InverseK2jApp, JpegApp, JpegMode, Kernel, StageMode,
 };
 use lac_core::{
-    prune, search_single_observed, train_fixed_multistart_observed, train_fixed_observed,
-    train_fixed_resumable_observed, JsonlObserver, NullObserver, TrainObserver,
+    prune, search_single, train_fixed_multistart, train_fixed_observed, train_fixed_resumable,
+    JsonlObserver, NullObserver, TrainObserver,
 };
 use lac_data::{IkDataset, ImageDataset};
 use lac_hw::{catalog, characterize, ErrorMap, FaultConfig, LutMultiplier, Multiplier};
@@ -302,17 +302,9 @@ fn cmd_train(app: &str, mult_name: &str, opts: &Options) -> Result<(), CliError>
     with_app!(app, opts, |kernel, train, test| {
         let mult = kernel.adapt(&raw);
         let result = if opts.multistart {
-            train_fixed_multistart_observed(
-                &kernel,
-                &mult,
-                &train,
-                &test,
-                &config,
-                &[0, 3, 6],
-                obs.as_mut(),
-            )
+            train_fixed_multistart(&kernel, &mult, &train, &test, &config, &[0, 3, 6], obs.as_mut())
         } else if let Some(ck) = &opts.resume {
-            train_fixed_resumable_observed(
+            train_fixed_resumable(
                 &kernel,
                 &mult,
                 &train,
@@ -420,8 +412,7 @@ fn cmd_search(app: &str, opts: &Options) -> Result<(), CliError> {
             return usage_err(format!("constraint {constraint:?} admits no candidates"));
         }
         println!("searching {} candidates under {constraint:?} ...", admitted.len());
-        let result =
-            search_single_observed(&kernel, &admitted, &train, &test, &config, 2.0, obs.as_mut());
+        let result = search_single(&kernel, &admitted, &train, &test, &config, 2.0, obs.as_mut());
         for (name, p) in result.candidates.iter().zip(&result.probabilities) {
             println!("  {name:<12} {p:.3}");
         }

@@ -11,9 +11,7 @@ use lac_metrics::MetricDirection;
 use lac_rt::rng::{SeedableRng, StdRng};
 
 use crate::config::TrainConfig;
-use crate::engine::{
-    ConstraintSet, NullObserver, RunScope, TrainError, TrainObserver, TrainSession,
-};
+use crate::engine::{ConstraintSet, RunScope, TrainError, TrainObserver, TrainSession};
 use crate::eval::{batch_outputs, batch_references, quality};
 use crate::fixed::{train_fixed_observed, FixedResult};
 use crate::nas::multi::{assignment_plan, fine_tune, mean_area, MultiNasResult, MultiObjective};
@@ -38,7 +36,9 @@ impl BruteForceResult {
 
 /// Brute-force trained-hardware search: train every candidate to
 /// convergence with fixed-hardware LAC and pick the best post-training
-/// quality — the exhaustive reference NAS is compared against.
+/// quality — the exhaustive reference NAS is compared against. Each
+/// candidate's training emits `"fixed"` events with the candidate's name
+/// as detail.
 ///
 /// # Panics
 ///
@@ -50,27 +50,6 @@ impl BruteForceResult {
 /// its rollback budget — the exhaustive reference is only meaningful when
 /// every candidate finished training.
 pub fn brute_force<K: Kernel + Sync>(
-    kernel: &K,
-    candidates: &[Arc<dyn Multiplier>],
-    train: &[K::Sample],
-    test: &[K::Sample],
-    config: &TrainConfig,
-) -> Result<BruteForceResult, TrainError> {
-    brute_force_observed(kernel, candidates, train, test, config, &mut NullObserver)
-}
-
-/// [`brute_force`] with per-epoch telemetry: each candidate's training
-/// emits `"fixed"` events with the candidate's name as detail.
-///
-/// # Panics
-///
-/// Panics if `candidates` is empty.
-///
-/// # Errors
-///
-/// Returns [`TrainError::Diverged`] if any candidate's training exhausts
-/// its rollback budget.
-pub fn brute_force_observed<K: Kernel + Sync>(
     kernel: &K,
     candidates: &[Arc<dyn Multiplier>],
     train: &[K::Sample],
@@ -156,30 +135,15 @@ pub fn no_lac_min_area<K: Kernel + Sync>(
 /// `stages × candidates × epochs` coefficient steps — the 17×-and-worse
 /// runtimes of Table IV.
 ///
-/// # Panics
-///
-/// Panics if `candidates` is empty.
-pub fn greedy_multi<K: Kernel + Sync>(
-    kernel: &K,
-    candidates: &[Arc<dyn Multiplier>],
-    train: &[K::Sample],
-    test: &[K::Sample],
-    config: &TrainConfig,
-    objective: MultiObjective,
-) -> MultiNasResult {
-    greedy_multi_observed(kernel, candidates, train, test, config, objective, &mut NullObserver)
-}
-
-/// [`greedy_multi`] with per-epoch telemetry: each per-option training
-/// run emits `"greedy"` events whose detail names the stage under
-/// consideration and the candidate being tried
+/// Each per-option training run emits `"greedy"` events whose detail
+/// names the stage under consideration and the candidate being tried
 /// (`"stage<idx>:<candidate>"`); the final polish emits `"fine-tune"`
 /// events.
 ///
 /// # Panics
 ///
 /// Panics if `candidates` is empty.
-pub fn greedy_multi_observed<K: Kernel + Sync>(
+pub fn greedy_multi<K: Kernel + Sync>(
     kernel: &K,
     candidates: &[Arc<dyn Multiplier>],
     train: &[K::Sample],
@@ -306,6 +270,8 @@ mod tests {
     use lac_data::{synth_image, GrayImage};
     use lac_hw::catalog;
 
+    use crate::NullObserver;
+
     fn dataset() -> (Vec<GrayImage>, Vec<GrayImage>) {
         let train: Vec<GrayImage> = (0..5).map(|i| synth_image(32, 32, i)).collect();
         let test: Vec<GrayImage> = (70..73).map(|i| synth_image(32, 32, i)).collect();
@@ -322,7 +288,8 @@ mod tests {
         let candidates = adapt(&app, &["mul8u_JV3", "DRUM16-6"]);
         let (train, test) = dataset();
         let cfg = TrainConfig::new().epochs(8).learning_rate(2.0).threads(4);
-        let result = brute_force(&app, &candidates, &train, &test, &cfg).expect("brute force");
+        let result = brute_force(&app, &candidates, &train, &test, &cfg, &mut NullObserver)
+            .expect("brute force");
         assert_eq!(result.results.len(), 2);
         assert_eq!(result.best, 1, "DRUM16-6 must beat JV3 on blur");
         assert!(result.seconds > 0.0);
@@ -334,7 +301,8 @@ mod tests {
         let candidates = adapt(&app, &["mul8u_FTA", "DRUM16-6"]);
         let (train, test) = dataset();
         let cfg = TrainConfig::new().epochs(20).learning_rate(2.0).threads(4);
-        let result = brute_force(&app, &candidates, &train, &test, &cfg).expect("brute force");
+        let result = brute_force(&app, &candidates, &train, &test, &cfg, &mut NullObserver)
+            .expect("brute force");
         // A loose target admits both: the cheaper FTA must win.
         let pick = brute_force_min_area(
             &result,
@@ -379,6 +347,7 @@ mod tests {
             &test,
             &cfg,
             MultiObjective::AreaConstrained { area_threshold: 1.0, gamma: 1.0, delta: 1.0 },
+            &mut NullObserver,
         );
         assert_eq!(result.choices.len(), 9);
         assert!(result.quality > 0.0);

@@ -196,6 +196,20 @@ impl<'a> RunScope<'a> {
     }
 }
 
+/// The minibatch that `config`'s rotation assigns to step `step`: the
+/// selected samples and their references, cloned in index order.
+pub(crate) fn minibatch<S: Clone>(
+    config: &TrainConfig,
+    step: usize,
+    samples: &[S],
+    references: &[Vec<f64>],
+) -> (Vec<S>, Vec<Vec<f64>>) {
+    let idx = config.step_indices(step, samples.len());
+    let batch = idx.iter().map(|&i| samples[i].clone()).collect();
+    let refs = idx.iter().map(|&i| references[i].clone()).collect();
+    (batch, refs)
+}
+
 /// One coefficient-training session: the epoch loop shared by every
 /// trainer and search in the crate.
 ///
@@ -245,9 +259,7 @@ impl TrainSession {
         config: &TrainConfig,
         threads: usize,
     ) -> f64 {
-        let idx = config.step_indices(self.steps, train.len());
-        let batch: Vec<K::Sample> = idx.iter().map(|&i| train[i].clone()).collect();
-        let refs: Vec<Vec<f64>> = idx.iter().map(|&i| train_refs[i].clone()).collect();
+        let (batch, refs) = minibatch(config, self.steps, train, train_refs);
         self.step_on(kernel, plan, &batch, &refs, threads)
     }
 
@@ -267,13 +279,7 @@ impl TrainSession {
     ) -> f64 {
         let mults = plan.materialize(kernel.num_stages());
         let (grads, loss) = batch_grads(kernel, &self.coeffs, &mults, batch, refs, threads);
-        if loss < self.best_loss {
-            self.best_loss = loss;
-            self.best_coeffs = self.coeffs.clone();
-        }
-        let mut params: Vec<&mut Tensor> = self.coeffs.iter_mut().collect();
-        self.opt.step(&mut params, &grads);
-        self.steps += 1;
+        self.apply(loss, &grads);
         loss
     }
 
@@ -291,9 +297,7 @@ impl TrainSession {
         config: &TrainConfig,
         threads: usize,
     ) -> Result<f64, f64> {
-        let idx = config.step_indices(self.steps, train.len());
-        let batch: Vec<K::Sample> = idx.iter().map(|&i| train[i].clone()).collect();
-        let refs: Vec<Vec<f64>> = idx.iter().map(|&i| train_refs[i].clone()).collect();
+        let (batch, refs) = minibatch(config, self.steps, train, train_refs);
         self.try_step_on(kernel, plan, &batch, &refs, threads)
     }
 
@@ -318,14 +322,22 @@ impl TrainSession {
         if !finite {
             return Err(loss);
         }
+        self.apply(loss, &grads);
+        Ok(loss)
+    }
+
+    /// The optimizer step shared by [`step_on`](TrainSession::step_on)
+    /// and [`try_step_on`](TrainSession::try_step_on): checkpoint the
+    /// pre-update iterate if `loss` is the best yet, apply Adam, and
+    /// advance the step counter.
+    fn apply(&mut self, loss: f64, grads: &[Tensor]) {
         if loss < self.best_loss {
             self.best_loss = loss;
             self.best_coeffs = self.coeffs.clone();
         }
         let mut params: Vec<&mut Tensor> = self.coeffs.iter_mut().collect();
-        self.opt.step(&mut params, &grads);
+        self.opt.step(&mut params, grads);
         self.steps += 1;
-        Ok(loss)
     }
 
     /// Divergence recovery: restore the best-loss checkpoint, discard

@@ -173,8 +173,8 @@ pub trait TrainObserver {
     fn on_error(&mut self, _event: &ErrorEvent<'_>) {}
 }
 
-/// Discards every event (the default for the non-`_observed` entry
-/// points).
+/// Discards every event: pass `&mut NullObserver` to a trainer to run it
+/// without telemetry (what [`train_fixed`](crate::train_fixed) does).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullObserver;
 

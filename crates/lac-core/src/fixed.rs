@@ -16,6 +16,7 @@ use lac_hw::Multiplier;
 use lac_tensor::Tensor;
 
 use crate::config::TrainConfig;
+use crate::engine::checkpoint::RestoredSession;
 use crate::engine::{
     HardwarePlan, NullObserver, RunScope, SessionCheckpoint, TrainError, TrainObserver,
     TrainSession,
@@ -97,6 +98,10 @@ pub fn train_fixed<K: Kernel + Sync>(
 /// [`train_fixed`] with per-epoch telemetry: emits one
 /// [`EpochEvent`](crate::EpochEvent) per optimizer epoch (run `"fixed"`,
 /// detail = multiplier name).
+///
+/// Every other trainer takes its observer as a trailing argument and has
+/// no plain twin; fixed training keeps both forms as the crate's
+/// shortest entry point.
 pub fn train_fixed_observed<K: Kernel + Sync>(
     kernel: &K,
     mult: &Arc<dyn Multiplier>,
@@ -107,13 +112,15 @@ pub fn train_fixed_observed<K: Kernel + Sync>(
 ) -> Result<FixedResult, TrainError> {
     let mults: Vec<Arc<dyn Multiplier>> = vec![Arc::clone(mult); kernel.num_stages()];
     let init = kernel.init_coeffs(&mults);
-    train_fixed_from(kernel, mult, vec![init], train, test, config, observer)
+    train_fixed_from(kernel, mult, vec![init], train, test, config, None, observer)
 }
 
 /// Fixed-hardware training with multiple restarts: the original
 /// coefficients scaled by each power of two in `scale_bits`, each clamped
 /// to the coefficient bounds, trained independently; the best test-set
-/// quality wins.
+/// quality wins. Each restart's events carry detail
+/// `"<multiplier>+restart<run>"` (the first restart is plain
+/// `"<multiplier>"`).
 ///
 /// Pure gradient descent cannot discover a uniform rescaling of the
 /// coefficients (the exact-product surrogate makes it a flat direction
@@ -126,24 +133,6 @@ pub fn train_fixed_observed<K: Kernel + Sync>(
 ///
 /// Panics if `scale_bits` is empty.
 pub fn train_fixed_multistart<K: Kernel + Sync>(
-    kernel: &K,
-    mult: &Arc<dyn Multiplier>,
-    train: &[K::Sample],
-    test: &[K::Sample],
-    config: &TrainConfig,
-    scale_bits: &[u32],
-) -> Result<FixedResult, TrainError> {
-    train_fixed_multistart_observed(kernel, mult, train, test, config, scale_bits, &mut NullObserver)
-}
-
-/// [`train_fixed_multistart`] with per-epoch telemetry: each restart's
-/// events carry detail `"<multiplier>+restart<run>"` (the first restart is
-/// plain `"<multiplier>"`).
-///
-/// # Panics
-///
-/// Panics if `scale_bits` is empty.
-pub fn train_fixed_multistart_observed<K: Kernel + Sync>(
     kernel: &K,
     mult: &Arc<dyn Multiplier>,
     train: &[K::Sample],
@@ -167,12 +156,53 @@ pub fn train_fixed_multistart_observed<K: Kernel + Sync>(
                 .collect()
         })
         .collect();
-    train_fixed_from(kernel, mult, inits, train, test, config, observer)
+    train_fixed_from(kernel, mult, inits, train, test, config, None, observer)
+}
+
+/// [`train_fixed`] with session checkpointing: training pauses every
+/// `checkpoint_every` epochs to write a [`SessionCheckpoint`] to
+/// `checkpoint_path`, and a later call with the same arguments resumes
+/// from the file instead of starting over. The resumed run reproduces an
+/// uninterrupted [`train_fixed`] bit for bit — coefficients, loss
+/// history, and best iterate (wall-clock `seconds` excepted) — and
+/// re-emits events only for the epochs it actually executes.
+///
+/// The checkpoint file is left in place on success so callers can
+/// archive it; delete it to start fresh.
+///
+/// # Errors
+///
+/// [`TrainError::Diverged`] as in [`train_fixed`], and
+/// [`TrainError::Checkpoint`] when the checkpoint file cannot be
+/// written, read, or decoded, or when it belongs to a different run (its
+/// recorded kernel and multiplier, or its coefficient shapes, differ
+/// from this call's).
+#[allow(clippy::too_many_arguments)]
+pub fn train_fixed_resumable<K: Kernel + Sync>(
+    kernel: &K,
+    mult: &Arc<dyn Multiplier>,
+    train: &[K::Sample],
+    test: &[K::Sample],
+    config: &TrainConfig,
+    checkpoint_path: &Path,
+    checkpoint_every: usize,
+    observer: &mut dyn TrainObserver,
+) -> Result<FixedResult, TrainError> {
+    let mults: Vec<Arc<dyn Multiplier>> = vec![Arc::clone(mult); kernel.num_stages()];
+    let init = kernel.init_coeffs(&mults);
+    let checkpoint = Some((checkpoint_path, checkpoint_every));
+    train_fixed_from(kernel, mult, vec![init], train, test, config, checkpoint, observer)
 }
 
 /// Shared driver: train from each provided initialization, keep the best
 /// test-set quality, and fall back to the first (original) initialization
 /// when no run improves on it.
+///
+/// With a `checkpoint` of `(path, every)` (single-initialization callers
+/// only), a run resumes from `path` when the file exists and saves its
+/// session there every `every` epochs; without one, each run is a single
+/// span of `config.epochs`.
+#[allow(clippy::too_many_arguments)]
 fn train_fixed_from<K: Kernel + Sync>(
     kernel: &K,
     mult: &Arc<dyn Multiplier>,
@@ -180,6 +210,7 @@ fn train_fixed_from<K: Kernel + Sync>(
     train: &[K::Sample],
     test: &[K::Sample],
     config: &TrainConfig,
+    checkpoint: Option<(&Path, usize)>,
     observer: &mut dyn TrainObserver,
 ) -> Result<FixedResult, TrainError> {
     let start = Instant::now();
@@ -198,6 +229,7 @@ fn train_fixed_from<K: Kernel + Sync>(
     let mut chosen = original.clone();
     let mut first_history = Vec::new();
     let scope = RunScope { run: "fixed", detail: mult.name(), start };
+    let span = checkpoint.map_or(config.epochs, |(_, every)| every.max(1));
 
     for (run, init) in inits.into_iter().enumerate() {
         let detail;
@@ -207,13 +239,42 @@ fn train_fixed_from<K: Kernel + Sync>(
             detail = format!("{}+restart{run}", mult.name());
             scope.with_detail(&detail)
         };
-        let mut session = TrainSession::new(init, config.lr);
-        let loss_history =
-            session.run(kernel, &plan, train, &train_refs, config, threads, run_scope, observer)?;
+        let (mut session, mut stale, mut rollbacks_left, mut history) = match checkpoint {
+            Some((path, _)) if path.exists() => {
+                let restored = restore_checkpoint(kernel, mult, &init, path)?;
+                (restored.session, restored.stale, restored.rollbacks_left, restored.history)
+            }
+            _ => (TrainSession::new(init, config.lr), 0, config.rollbacks, Vec::new()),
+        };
+        while history.len() < config.epochs {
+            let to_epoch = (history.len() + span).min(config.epochs);
+            let stopped = session.run_span(
+                kernel,
+                &plan,
+                train,
+                &train_refs,
+                config,
+                threads,
+                run_scope,
+                observer,
+                to_epoch,
+                &mut stale,
+                &mut rollbacks_left,
+                &mut history,
+            )?;
+            if let Some((path, _)) = checkpoint {
+                SessionCheckpoint::capture(&session, stale, rollbacks_left, &history)
+                    .with_model(kernel.name(), mult.name())
+                    .save(path)?;
+            }
+            if stopped {
+                break;
+            }
+        }
         // Score the final coefficients too: the last step may be the best.
         session.consider_final(kernel, &plan, train, &train_refs, threads);
         if run == 0 {
-            first_history = loss_history;
+            first_history = history;
         }
 
         let best_coeffs = session.into_best();
@@ -234,120 +295,32 @@ fn train_fixed_from<K: Kernel + Sync>(
     })
 }
 
-/// [`train_fixed`] with session checkpointing: training pauses every
-/// `checkpoint_every` epochs to write a [`SessionCheckpoint`] to
-/// `checkpoint_path`, and a later call with the same arguments resumes
-/// from the file instead of starting over. The resumed run reproduces an
-/// uninterrupted [`train_fixed`] bit for bit — coefficients, loss
-/// history, and best iterate (wall-clock `seconds` excepted).
-///
-/// The checkpoint file is left in place on success so callers can
-/// archive it; delete it to start fresh.
-///
-/// # Errors
-///
-/// [`TrainError::Diverged`] as in [`train_fixed`], and
-/// [`TrainError::Checkpoint`] when the checkpoint file cannot be
-/// written, read, or decoded (e.g. it belongs to a different run shape).
-pub fn train_fixed_resumable<K: Kernel + Sync>(
+/// Load the checkpoint at `path` for the run training `kernel` on `mult`
+/// from `init`, refusing a file that another run wrote: its recorded
+/// model identity (when present) and its coefficient shapes must match.
+fn restore_checkpoint<K: Kernel>(
     kernel: &K,
     mult: &Arc<dyn Multiplier>,
-    train: &[K::Sample],
-    test: &[K::Sample],
-    config: &TrainConfig,
-    checkpoint_path: &Path,
-    checkpoint_every: usize,
-) -> Result<FixedResult, TrainError> {
-    train_fixed_resumable_observed(
-        kernel,
-        mult,
-        train,
-        test,
-        config,
-        checkpoint_path,
-        checkpoint_every,
-        &mut NullObserver,
-    )
-}
-
-/// [`train_fixed_resumable`] with per-epoch telemetry (resumed runs
-/// re-emit events only for the epochs they actually execute).
-#[allow(clippy::too_many_arguments)]
-pub fn train_fixed_resumable_observed<K: Kernel + Sync>(
-    kernel: &K,
-    mult: &Arc<dyn Multiplier>,
-    train: &[K::Sample],
-    test: &[K::Sample],
-    config: &TrainConfig,
-    checkpoint_path: &Path,
-    checkpoint_every: usize,
-    observer: &mut dyn TrainObserver,
-) -> Result<FixedResult, TrainError> {
-    let start = Instant::now();
-    let plan = HardwarePlan::uniform(mult);
-    let mults = plan.materialize(kernel.num_stages());
-    let threads = config.effective_threads();
-    let direction = kernel.metric().direction();
-
-    let train_refs = batch_references(kernel, train);
-    let test_refs = batch_references(kernel, test);
-
-    let init = kernel.init_coeffs(&mults);
-    let before = quality(kernel, &init, &mults, test, &test_refs, threads);
-    let scope = RunScope { run: "fixed", detail: mult.name(), start };
-
-    let (mut session, mut stale, mut rollbacks_left, mut history) = if checkpoint_path.exists() {
-        let restored = SessionCheckpoint::load(checkpoint_path)?.restore().map_err(|reason| {
-            TrainError::Checkpoint { path: checkpoint_path.display().to_string(), reason }
-        })?;
-        (restored.session, restored.stale, restored.rollbacks_left, restored.history)
-    } else {
-        (TrainSession::new(init.clone(), config.lr), 0, config.rollbacks, Vec::new())
-    };
-
-    let span = checkpoint_every.max(1);
-    while history.len() < config.epochs {
-        let to_epoch = (history.len() + span).min(config.epochs);
-        let stopped = session.run_span(
-            kernel,
-            &plan,
-            train,
-            &train_refs,
-            config,
-            threads,
-            scope,
-            observer,
-            to_epoch,
-            &mut stale,
-            &mut rollbacks_left,
-            &mut history,
-        )?;
-        SessionCheckpoint::capture(&session, stale, rollbacks_left, &history)
-            .with_model(kernel.name(), mult.name())
-            .save(checkpoint_path)?;
-        if stopped {
-            break;
-        }
+    init: &[Tensor],
+    path: &Path,
+) -> Result<RestoredSession, TrainError> {
+    let reject =
+        |reason: String| TrainError::Checkpoint { path: path.display().to_string(), reason };
+    let checkpoint = SessionCheckpoint::load(path)?;
+    let this_run = format!("{} on {}", kernel.name(), mult.name());
+    if let Some((app, spec)) = checkpoint.model().filter(|&m| m != (kernel.name(), mult.name())) {
+        return Err(reject(format!("written by {app} on {spec}, not by this run ({this_run})")));
     }
-
-    // Score the final coefficients too: the last step may be the best.
-    session.consider_final(kernel, &plan, train, &train_refs, threads);
-    let best_coeffs = session.into_best();
-    let trained_quality = quality(kernel, &best_coeffs, &mults, test, &test_refs, threads);
-    let (after, chosen) = if direction.is_better(trained_quality, before) {
-        (trained_quality, best_coeffs)
-    } else {
-        (before, init)
-    };
-
-    Ok(FixedResult {
-        multiplier: mult.name().to_owned(),
-        before,
-        after,
-        coeffs: chosen,
-        loss_history: history,
-        seconds: start.elapsed().as_secs_f64(),
-    })
+    let restored = checkpoint.restore().map_err(&reject)?;
+    let shapes = |coeffs: &[Tensor]| coeffs.iter().map(|t| t.shape().to_vec()).collect::<Vec<_>>();
+    let (found, expected) = (shapes(restored.session.coeffs()), shapes(init));
+    if found != expected || shapes(restored.session.best_coeffs()) != expected {
+        return Err(reject(format!(
+            "written by a run with coefficient shapes {found:?}, not by this run \
+             ({this_run}, shapes {expected:?})"
+        )));
+    }
+    Ok(restored)
 }
 
 #[cfg(test)]
@@ -409,7 +382,8 @@ mod tests {
         let cfg = TrainConfig::new().epochs(20).learning_rate(2.0).threads(4);
         let plain = train_fixed(&app, &mult, &train, &test, &cfg).expect("training");
         let multi =
-            train_fixed_multistart(&app, &mult, &train, &test, &cfg, &[0, 3, 6]).expect("training");
+            train_fixed_multistart(&app, &mult, &train, &test, &cfg, &[0, 3, 6], &mut NullObserver)
+                .expect("training");
         assert!(multi.after >= plain.after, "{} vs {}", multi.after, plain.after);
         assert_eq!(multi.before, plain.before);
     }
@@ -421,7 +395,7 @@ mod tests {
         let mult = app.adapt(&catalog::by_name("exact8u").unwrap());
         let (train, test) = small_dataset();
         let cfg = TrainConfig::new().epochs(1);
-        let _ = train_fixed_multistart(&app, &mult, &train, &test, &cfg, &[]);
+        let _ = train_fixed_multistart(&app, &mult, &train, &test, &cfg, &[], &mut NullObserver);
     }
 
     #[test]

@@ -19,6 +19,13 @@
 //! * [`brute_force`], [`greedy_multi`], [`no_lac_min_area`] — the baselines
 //!   of Figs. 10–12 and Table IV.
 //!
+//! Each trainer has one entry point whose last argument is the
+//! `&mut dyn` [`TrainObserver`] receiving its per-epoch telemetry; pass
+//! `&mut NullObserver` to train silently. Fixed training alone keeps a
+//! plain shorthand: [`train_fixed`] is [`train_fixed_observed`] with a
+//! [`NullObserver`]. [`train_fixed_multistart`] and
+//! [`train_fixed_resumable`] (checkpoint/resume) share its training body.
+//!
 //! # Quick start
 //!
 //! ```no_run
@@ -51,8 +58,7 @@ mod nas;
 pub mod serving;
 
 pub use baselines::{
-    brute_force, brute_force_min_area, brute_force_observed, greedy_multi, greedy_multi_observed,
-    no_lac_min_area, BruteForceResult,
+    brute_force, brute_force_min_area, greedy_multi, no_lac_min_area, BruteForceResult,
 };
 pub use config::TrainConfig;
 pub use constraints::{accuracy_hinge, hinge_area, prune, Constraint};
@@ -63,15 +69,9 @@ pub use engine::{
 };
 pub use eval::{batch_grads, batch_grads_with_chunk, batch_outputs, batch_references, quality};
 pub use fixed::{
-    train_fixed, train_fixed_multistart, train_fixed_multistart_observed, train_fixed_observed,
-    train_fixed_resumable, train_fixed_resumable_observed, FixedResult,
+    train_fixed, train_fixed_multistart, train_fixed_observed, train_fixed_resumable, FixedResult,
 };
 pub use nas::gate::BinaryGate;
-pub use nas::multi::{
-    mean_area, search_multi, search_multi_observed, MultiNasResult, MultiObjective,
-};
-pub use nas::single::{
-    search_accuracy_constrained, search_accuracy_constrained_observed, search_single,
-    search_single_observed, NasResult,
-};
+pub use nas::multi::{mean_area, search_multi, MultiNasResult, MultiObjective};
+pub use nas::single::{search_accuracy_constrained, search_single, NasResult};
 pub use serving::{HealthSnapshot, ModeSelector, ServeError, ServingModel};

@@ -26,7 +26,7 @@ use lac_tensor::Tensor;
 
 use crate::config::TrainConfig;
 use crate::engine::{
-    ConstraintSet, EpochEvent, HardwarePlan, NullObserver, RunScope, TrainObserver, TrainSession,
+    minibatch, ConstraintSet, EpochEvent, HardwarePlan, RunScope, TrainObserver, TrainSession,
 };
 use crate::eval::{batch_outputs, batch_references, quality};
 use crate::nas::gate::BinaryGate;
@@ -117,41 +117,17 @@ pub(crate) fn assignment_plan<K: Kernel>(
 /// paper, no performance pruning is applied here because mixing units
 /// above and below the budget can still satisfy the *average* constraint.
 ///
-/// # Panics
-///
-/// Panics if `candidates` is empty or the kernel has no stages.
-pub fn search_multi<K: Kernel + Sync>(
-    kernel: &K,
-    candidates: &[Arc<dyn Multiplier>],
-    train: &[K::Sample],
-    test: &[K::Sample],
-    config: &TrainConfig,
-    gate_lr: f64,
-    objective: MultiObjective,
-) -> MultiNasResult {
-    search_multi_observed(
-        kernel,
-        candidates,
-        train,
-        test,
-        config,
-        gate_lr,
-        objective,
-        &mut NullObserver,
-    )
-}
-
-/// [`search_multi`] with per-epoch telemetry: every supernet epoch emits
-/// one event (run `"search-multi"`) carrying the coefficient-step loss
-/// and — once gate updates begin — the sampled assignment, its batch
-/// quality and mean area, and all gate probabilities. The verification
-/// and polish fine-tunes emit `"fine-tune"` events.
+/// Every supernet epoch emits one event (run `"search-multi"`) carrying
+/// the coefficient-step loss and — once gate updates begin — the sampled
+/// assignment, its batch quality and mean area, and all gate
+/// probabilities. The verification and polish fine-tunes emit
+/// `"fine-tune"` events.
 ///
 /// # Panics
 ///
 /// Panics if `candidates` is empty or the kernel has no stages.
 #[allow(clippy::too_many_arguments)]
-pub fn search_multi_observed<K: Kernel + Sync>(
+pub fn search_multi<K: Kernel + Sync>(
     kernel: &K,
     candidates: &[Arc<dyn Multiplier>],
     train: &[K::Sample],
@@ -189,9 +165,7 @@ pub fn search_multi_observed<K: Kernel + Sync>(
     // after a warmup so early quality estimates are not pure noise.
     let warmup = config.epochs / 4;
     for step in 0..config.epochs {
-        let idx = config.step_indices(step, train.len());
-        let batch: Vec<K::Sample> = idx.iter().map(|&i| train[i].clone()).collect();
-        let refs: Vec<Vec<f64>> = idx.iter().map(|&i| train_refs[i].clone()).collect();
+        let (batch, refs) = minibatch(config, step, train, &train_refs);
 
         // Coefficient step on a uniformly sampled configuration.
         let uniform: Vec<usize> =
@@ -396,6 +370,8 @@ mod tests {
     use lac_data::{synth_image, GrayImage};
     use lac_hw::catalog;
 
+    use crate::NullObserver;
+
     fn dataset() -> (Vec<GrayImage>, Vec<GrayImage>) {
         let train: Vec<GrayImage> = (0..5).map(|i| synth_image(32, 32, i)).collect();
         let test: Vec<GrayImage> = (60..63).map(|i| synth_image(32, 32, i)).collect();
@@ -419,6 +395,7 @@ mod tests {
             &cfg,
             0.5,
             MultiObjective::AreaConstrained { area_threshold: 0.3, gamma: 0.9, delta: 1.0 },
+            &mut NullObserver,
         );
         assert_eq!(result.choices.len(), 9);
         assert_eq!(result.gate_probabilities.len(), 9);
@@ -448,6 +425,7 @@ mod tests {
             // Budget below DRUM16-6's area: the mean must be pulled down
             // by choosing FTA nearly everywhere.
             MultiObjective::AreaConstrained { area_threshold: 0.1, gamma: 1.0, delta: 20.0 },
+            &mut NullObserver,
         );
         let fta_picks = result.choices.iter().filter(|&&c| c == 0).count();
         assert!(fta_picks >= 6, "only {fta_picks}/9 taps picked the cheap unit: {result:?}");
@@ -472,6 +450,7 @@ mod tests {
             // A very loose quality floor: area should dominate, favoring
             // the cheaper 185Q (0.13 vs 0.39).
             MultiObjective::AccuracyConstrained { quality_target: 0.2, delta: 5.0 },
+            &mut NullObserver,
         );
         let cheap_picks = result.choices.iter().filter(|&&c| c == 0).count();
         assert!(cheap_picks >= 6, "only {cheap_picks}/9 taps picked the cheap unit");
@@ -487,7 +466,7 @@ mod tests {
         let (train, test) = dataset();
         let cfg = TrainConfig::new().epochs(8).learning_rate(2.0).threads(2).seed(2);
         let mut obs = crate::MemoryObserver::new();
-        let _ = search_multi_observed(
+        let _ = search_multi(
             &app,
             &candidates,
             &train,
@@ -519,6 +498,7 @@ mod tests {
             &cfg,
             0.5,
             MultiObjective::AreaConstrained { area_threshold: 1.0, gamma: 1.0, delta: 1.0 },
+            &mut NullObserver,
         );
         let assignment = result.assignment();
         assert_eq!(assignment.len(), 9);

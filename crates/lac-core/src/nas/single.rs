@@ -18,9 +18,7 @@ use lac_tensor::Tensor;
 
 use crate::config::TrainConfig;
 use crate::constraints::accuracy_hinge;
-use crate::engine::{
-    metric_loss, EpochEvent, HardwarePlan, NullObserver, TrainObserver, TrainSession,
-};
+use crate::engine::{metric_loss, minibatch, EpochEvent, HardwarePlan, TrainObserver, TrainSession};
 use crate::eval::{batch_outputs, batch_references, quality};
 use crate::nas::gate::BinaryGate;
 
@@ -80,18 +78,6 @@ fn make_paths<K: Kernel>(
         .collect()
 }
 
-/// One coefficient-training step on a path; returns the batch loss.
-fn train_path_step<K: Kernel + Sync>(
-    kernel: &K,
-    path: &mut Path,
-    train: &[K::Sample],
-    train_refs: &[Vec<f64>],
-    config: &TrainConfig,
-    threads: usize,
-) -> f64 {
-    path.session.step(kernel, &path.plan, train, train_refs, config, threads)
-}
-
 fn finish<K: Kernel + Sync>(
     kernel: &K,
     gate: &BinaryGate,
@@ -140,15 +126,16 @@ fn run_sole_candidate<K: Kernel + Sync>(
     observer: &mut dyn TrainObserver,
 ) {
     let sampled = [0usize];
+    let path = &mut paths[0];
     for epoch in 0..config.epochs {
-        let loss = train_path_step(kernel, &mut paths[0], train, train_refs, config, threads);
+        let loss = path.session.step(kernel, &path.plan, train, train_refs, config, threads);
         observer.on_epoch(&EpochEvent {
             run,
-            detail: paths[0].mult.name(),
+            detail: path.mult.name(),
             epoch,
             loss: Some(loss),
-            area: Some(paths[0].plan.mean_area()),
-            delay: paths[0].plan.mean_delay(),
+            area: Some(path.plan.mean_area()),
+            delay: path.plan.mean_delay(),
             sampled: &sampled,
             seconds: start.elapsed().as_secs_f64(),
             ..Default::default()
@@ -163,29 +150,14 @@ fn run_sole_candidate<K: Kernel + Sync>(
 /// constrained searches (Figs. 8–9), pre-pruned with
 /// [`crate::constraints::prune`].
 ///
+/// Each main-loop iteration emits one event (run `"search-single"`)
+/// carrying the sampled path pair, the mean of their training losses,
+/// and the gate probabilities after the update. Warmup steps are silent.
+///
 /// # Panics
 ///
 /// Panics if `candidates` is empty.
 pub fn search_single<K: Kernel + Sync>(
-    kernel: &K,
-    candidates: &[Arc<dyn Multiplier>],
-    train: &[K::Sample],
-    test: &[K::Sample],
-    config: &TrainConfig,
-    gate_lr: f64,
-) -> NasResult {
-    search_single_observed(kernel, candidates, train, test, config, gate_lr, &mut NullObserver)
-}
-
-/// [`search_single`] with per-epoch telemetry: each main-loop iteration
-/// emits one event (run `"search-single"`) carrying the sampled path
-/// pair, the mean of their training losses, and the gate probabilities
-/// after the update. Warmup steps are silent.
-///
-/// # Panics
-///
-/// Panics if `candidates` is empty.
-pub fn search_single_observed<K: Kernel + Sync>(
     kernel: &K,
     candidates: &[Arc<dyn Multiplier>],
     train: &[K::Sample],
@@ -225,21 +197,21 @@ pub fn search_single_observed<K: Kernel + Sync>(
     let warmup = warmup_steps(config.epochs, candidates.len());
     for _ in 0..warmup {
         for path in paths.iter_mut() {
-            train_path_step(kernel, path, train, &train_refs, config, threads);
+            path.session.step(kernel, &path.plan, train, &train_refs, config, threads);
         }
     }
 
     let metric = kernel.metric();
     for step in 0..config.epochs {
         let (i, j) = gate.sample_two(&mut rng);
-        let li_train = train_path_step(kernel, &mut paths[i], train, &train_refs, config, threads);
-        let lj_train = train_path_step(kernel, &mut paths[j], train, &train_refs, config, threads);
+        let [li_train, lj_train] = [i, j].map(|k| {
+            let path = &mut paths[k];
+            path.session.step(kernel, &path.plan, train, &train_refs, config, threads)
+        });
         // The gate compares the application's *quality metric* (Eq. 1's
         // L(·) is SSIM/PSNR/…), evaluated for both paths on the same
         // batch; raw MSE can favor degenerate outputs on sparse targets.
-        let idx = config.step_indices(step, train.len());
-        let batch: Vec<K::Sample> = idx.iter().map(|&k| train[k].clone()).collect();
-        let refs: Vec<Vec<f64>> = idx.iter().map(|&k| train_refs[k].clone()).collect();
+        let (batch, refs) = minibatch(config, step, train, &train_refs);
         let loss_of = |path: &Path| {
             // Judge the path by its best-achieved coefficients — the state
             // that would actually be deployed — not the optimizer's
@@ -280,43 +252,15 @@ fn warmup_steps(epochs: usize, k: usize) -> usize {
 /// dual-branch loss; the gate minimizes
 /// `area + δ · max(0, target - quality)` evaluated on the training batch.
 ///
+/// Each main-loop iteration emits one event (run `"search-accuracy"`)
+/// carrying the sampled pair, the mean of their Eq. 4 gate losses, and
+/// the gate probabilities after the update. Warmup steps are silent.
+///
 /// # Panics
 ///
 /// Panics if `candidates` is empty.
 #[allow(clippy::too_many_arguments)]
 pub fn search_accuracy_constrained<K: Kernel + Sync>(
-    kernel: &K,
-    candidates: &[Arc<dyn Multiplier>],
-    train: &[K::Sample],
-    test: &[K::Sample],
-    config: &TrainConfig,
-    gate_lr: f64,
-    quality_target: f64,
-    delta: f64,
-) -> NasResult {
-    search_accuracy_constrained_observed(
-        kernel,
-        candidates,
-        train,
-        test,
-        config,
-        gate_lr,
-        quality_target,
-        delta,
-        &mut NullObserver,
-    )
-}
-
-/// [`search_accuracy_constrained`] with per-epoch telemetry: each
-/// main-loop iteration emits one event (run `"search-accuracy"`) carrying
-/// the sampled pair, the mean of their Eq. 4 gate losses, and the gate
-/// probabilities after the update. Warmup steps are silent.
-///
-/// # Panics
-///
-/// Panics if `candidates` is empty.
-#[allow(clippy::too_many_arguments)]
-pub fn search_accuracy_constrained_observed<K: Kernel + Sync>(
     kernel: &K,
     candidates: &[Arc<dyn Multiplier>],
     train: &[K::Sample],
@@ -367,17 +311,17 @@ pub fn search_accuracy_constrained_observed<K: Kernel + Sync>(
     let warmup = warmup_steps(config.epochs, candidates.len());
     for _ in 0..warmup {
         for path in paths.iter_mut() {
-            train_path_step(kernel, path, train, &train_refs, config, threads);
+            path.session.step(kernel, &path.plan, train, &train_refs, config, threads);
         }
     }
 
     for step in 0..config.epochs {
         let (i, j) = gate.sample_two(&mut rng);
-        train_path_step(kernel, &mut paths[i], train, &train_refs, config, threads);
-        train_path_step(kernel, &mut paths[j], train, &train_refs, config, threads);
-        let idx = config.step_indices(step, train.len());
-        let batch: Vec<K::Sample> = idx.iter().map(|&k| train[k].clone()).collect();
-        let refs: Vec<Vec<f64>> = idx.iter().map(|&k| train_refs[k].clone()).collect();
+        for k in [i, j] {
+            let path = &mut paths[k];
+            path.session.step(kernel, &path.plan, train, &train_refs, config, threads);
+        }
+        let (batch, refs) = minibatch(config, step, train, &train_refs);
         let li = gate_loss(kernel, &paths[i], &batch, &refs, threads);
         let lj = gate_loss(kernel, &paths[j], &batch, &refs, threads);
         gate.update_two_path(i, j, li, lj);
@@ -433,6 +377,8 @@ mod tests {
     use lac_data::{synth_image, GrayImage};
     use lac_hw::catalog;
 
+    use crate::NullObserver;
+
     fn dataset() -> (Vec<GrayImage>, Vec<GrayImage>) {
         let train: Vec<GrayImage> = (0..6).map(|i| synth_image(32, 32, i)).collect();
         let test: Vec<GrayImage> = (50..53).map(|i| synth_image(32, 32, i)).collect();
@@ -450,7 +396,7 @@ mod tests {
         let candidates = blur_candidates(&app, &["mul8u_JV3", "DRUM16-6"]);
         let (train, test) = dataset();
         let cfg = TrainConfig::new().epochs(30).learning_rate(2.0).threads(4).seed(1);
-        let result = search_single(&app, &candidates, &train, &test, &cfg, 2.0);
+        let result = search_single(&app, &candidates, &train, &test, &cfg, 2.0, &mut NullObserver);
         assert_eq!(result.chosen_name(), "DRUM16-6", "probs {:?}", result.probabilities);
         assert!(result.quality > 0.9, "quality {}", result.quality);
     }
@@ -461,7 +407,7 @@ mod tests {
         let candidates = blur_candidates(&app, &["mul8u_FTA"]);
         let (train, test) = dataset();
         let cfg = TrainConfig::new().epochs(10).learning_rate(2.0).threads(4);
-        let result = search_single(&app, &candidates, &train, &test, &cfg, 1.0);
+        let result = search_single(&app, &candidates, &train, &test, &cfg, 1.0, &mut NullObserver);
         assert_eq!(result.chosen, 0);
         assert_eq!(result.probabilities, vec![1.0]);
     }
@@ -472,8 +418,8 @@ mod tests {
         let candidates = blur_candidates(&app, &["mul8u_JV3", "mul8u_FTA", "DRUM16-4"]);
         let (train, test) = dataset();
         let cfg = TrainConfig::new().epochs(12).learning_rate(2.0).threads(2).seed(9);
-        let a = search_single(&app, &candidates, &train, &test, &cfg, 2.0);
-        let b = search_single(&app, &candidates, &train, &test, &cfg, 2.0);
+        let a = search_single(&app, &candidates, &train, &test, &cfg, 2.0, &mut NullObserver);
+        let b = search_single(&app, &candidates, &train, &test, &cfg, 2.0, &mut NullObserver);
         assert_eq!(a.chosen, b.chosen);
         assert_eq!(a.quality, b.quality);
     }
@@ -485,7 +431,7 @@ mod tests {
         let (train, test) = dataset();
         let cfg = TrainConfig::new().epochs(8).learning_rate(2.0).threads(2).seed(3);
         let mut obs = crate::MemoryObserver::new();
-        let _ = search_single_observed(&app, &candidates, &train, &test, &cfg, 2.0, &mut obs);
+        let _ = search_single(&app, &candidates, &train, &test, &cfg, 2.0, &mut obs);
         assert_eq!(obs.len(), 8);
         assert!(obs.lines[0].contains("\"run\":\"search-single\""), "{}", obs.lines[0]);
         assert!(obs.lines[0].contains("\"gate_probs\":[["), "{}", obs.lines[0]);
@@ -509,6 +455,7 @@ mod tests {
             2.0,
             0.7,
             10.0,
+            &mut NullObserver,
         );
         assert_eq!(result.chosen_name(), "mul8u_FTA", "probs {:?}", result.probabilities);
     }
@@ -519,6 +466,6 @@ mod tests {
         let app = FilterApp::new(FilterKind::GaussianBlur, StageMode::Single);
         let (train, test) = dataset();
         let cfg = TrainConfig::new().epochs(1);
-        let _ = search_single(&app, &[], &train, &test, &cfg, 1.0);
+        let _ = search_single(&app, &[], &train, &test, &cfg, 1.0, &mut NullObserver);
     }
 }

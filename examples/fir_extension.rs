@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example fir_extension`
 
 use lac::apps::{FirApp, FirKind, FirStageMode, Kernel};
-use lac::core::{train_fixed, train_fixed_multistart, TrainConfig};
+use lac::core::{train_fixed, train_fixed_multistart, NullObserver, TrainConfig};
 use lac::data::SignalDataset;
 use lac::hw::catalog;
 
@@ -28,9 +28,16 @@ fn main() {
         let mult = app.adapt(&catalog::by_name(name).expect("catalog unit"));
         let plain = train_fixed(&app, &mult, &data.train, &data.test, &config)
             .expect("training diverged");
-        let multi =
-            train_fixed_multistart(&app, &mult, &data.train, &data.test, &config, &[0, 3, 5])
-                .expect("training diverged");
+        let multi = train_fixed_multistart(
+            &app,
+            &mult,
+            &data.train,
+            &data.test,
+            &config,
+            &[0, 3, 5],
+            &mut NullObserver,
+        )
+        .expect("training diverged");
         println!(
             "{:<12} {:>8.2}dB {:>10.2}dB {:>14.2}dB",
             name, plain.before, plain.after, multi.after

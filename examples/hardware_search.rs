@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example hardware_search`
 
 use lac::apps::{FilterApp, FilterKind, Kernel, StageMode};
-use lac::core::{prune, search_single, Constraint, TrainConfig};
+use lac::core::{prune, search_single, Constraint, NullObserver, TrainConfig};
 use lac::data::ImageDataset;
 use lac::hw::catalog;
 
@@ -28,7 +28,15 @@ fn main() {
     }
 
     let config = TrainConfig::new().epochs(150).learning_rate(2.0).minibatch(16).seed(3);
-    let result = search_single(&app, &admitted, &data.train, &data.test, &config, 2.0);
+    let result = search_single(
+        &app,
+        &admitted,
+        &data.train,
+        &data.test,
+        &config,
+        2.0,
+        &mut NullObserver,
+    );
 
     println!("\nsearch finished in {:.1}s", result.seconds);
     println!("gate probabilities:");

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example jpeg_multi_hardware`
 
 use lac::apps::{JpegApp, JpegMode, Kernel};
-use lac::core::{search_multi, MultiObjective, TrainConfig};
+use lac::core::{search_multi, MultiObjective, NullObserver, TrainConfig};
 use lac::data::ImageDataset;
 use lac::hw::catalog;
 
@@ -27,7 +27,16 @@ fn main() {
     let objective =
         MultiObjective::AreaConstrained { area_threshold: 0.5, gamma: 1.0, delta: 300.0 };
     let config = TrainConfig::new().epochs(120).learning_rate(2.0).minibatch(8).seed(5);
-    let result = search_multi(&app, &candidates, &data.train, &data.test, &config, 0.8, objective);
+    let result = search_multi(
+        &app,
+        &candidates,
+        &data.train,
+        &data.test,
+        &config,
+        0.8,
+        objective,
+        &mut NullObserver,
+    );
 
     println!("search finished in {:.1}s", result.seconds);
     println!("stage assignment:");

@@ -61,17 +61,12 @@ cargo build --release --offline
 echo "== cargo test -q --offline"
 cargo test -q --offline
 
-# Sweep-orchestrator guard: experiment binaries declare UnitJob lists;
-# only lac-bench::sched executes cells. A direct trainer/search/driver
-# call (or the old per-cell error plumbing) in src/bin means a sweep
-# loop grew outside the orchestrator — unparallel, uncached,
-# nondeterministic.
-echo "== sweep guard: no training/search calls in lac-bench binaries"
-if grep -rn -E "_observed\(|train_fixed_|batch_grads\(|batch_outputs\(|search_single_|search_multi_|search_accuracy_|greedy_multi_|brute_force_all|brute_force_observed|run_caught\(|record_error_row\(|run_logger\(" \
-    crates/lac-bench/src/bin/; then
-    echo "verify: FAIL — direct trainer/search call in crates/lac-bench/src/bin (declare a sched::UnitJob instead)" >&2
-    exit 1
-fi
+# Sweep-orchestrator guard: experiment binaries declare UnitJob lists
+# and only lac-bench::sched executes cells. The check is a tier-1 test
+# (crates/lac-bench/tests/sweep_guard.rs), named here so it cannot be
+# filtered away.
+echo "== sweep guard: no trainer/driver calls in lac-bench binaries"
+cargo test -q --offline -p lac-bench --test sweep_guard
 
 # The fault/recovery suite is part of the workspace test run above, but
 # name the load-bearing suites explicitly so a filtered or partial CI

@@ -13,7 +13,8 @@ use std::sync::Arc;
 
 use lac::apps::{CnnApp, Kernel};
 use lac::core::{
-    search_multi, train_fixed, train_fixed_resumable, Constraint, MultiObjective, TrainConfig,
+    search_multi, train_fixed, train_fixed_resumable, Constraint, MultiObjective, NullObserver,
+    TrainConfig,
 };
 use lac::data::CnnDataset;
 use lac::hw::{catalog, Multiplier};
@@ -86,7 +87,7 @@ fn cnn_per_layer_search_is_thread_count_invariant() {
         MultiObjective::AreaConstrained { area_threshold, gamma: 0.9, delta: 8.0 };
     let run = |threads: usize| {
         let c = cfg(8).threads(threads);
-        search_multi(&app, &candidates, &ds.train, &ds.test, &c, 1.0, objective)
+        search_multi(&app, &candidates, &ds.train, &ds.test, &c, 1.0, objective, &mut NullObserver)
     };
     let r1 = run(1);
     assert_eq!(r1.choices.len(), 3, "one gate per layer: conv1, conv2, dense");
@@ -120,11 +121,29 @@ fn cnn_resume_from_checkpoint_matches_uninterrupted_run() {
     let dir = std::env::temp_dir().join("lac-cnn-resume-test");
     let _ = std::fs::remove_dir_all(&dir);
     let ck = dir.join("ck.json");
-    let leg1 = train_fixed_resumable(&app, &mult, &ds.train, &ds.test, &cfg(6), &ck, 3)
-        .expect("leg 1");
+    let leg1 = train_fixed_resumable(
+        &app,
+        &mult,
+        &ds.train,
+        &ds.test,
+        &cfg(6),
+        &ck,
+        3,
+        &mut NullObserver,
+    )
+    .expect("leg 1");
     assert!(ck.exists(), "leg 1 must leave a checkpoint behind");
-    let leg2 = train_fixed_resumable(&app, &mult, &ds.train, &ds.test, &cfg(12), &ck, 3)
-        .expect("leg 2");
+    let leg2 = train_fixed_resumable(
+        &app,
+        &mult,
+        &ds.train,
+        &ds.test,
+        &cfg(12),
+        &ck,
+        3,
+        &mut NullObserver,
+    )
+    .expect("leg 2");
 
     assert_eq!(leg2.after.to_bits(), full.after.to_bits(), "final accuracy must be bit-equal");
     assert_eq!(hash_tensors(&leg2.coeffs), hash_tensors(&full.coeffs));

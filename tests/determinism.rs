@@ -85,7 +85,7 @@ fn different_seeds_are_decorrelated_but_both_deterministic() {
 /// path through the hermetic PRNG).
 #[test]
 fn gate_search_is_seed_deterministic() {
-    use lac_core::{search_single, NasResult};
+    use lac_core::{search_single, NasResult, NullObserver};
 
     let run = |seed: u64| -> NasResult {
         let app = FirApp::new(FirKind::HighBoost5, FirStageMode::Single);
@@ -95,7 +95,7 @@ fn gate_search_is_seed_deterministic() {
             .map(|n| lac_hw::catalog::by_name(n).unwrap())
             .collect();
         let config = TrainConfig::new().epochs(6).seed(seed).threads(2);
-        search_single(&app, &candidates, &data.train, &data.test, &config, 0.3)
+        search_single(&app, &candidates, &data.train, &data.test, &config, 0.3, &mut NullObserver)
     };
     let a = run(5);
     let b = run(5);

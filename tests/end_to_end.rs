@@ -5,7 +5,7 @@
 //! paper-scale runs live in `lac-bench`.
 
 use lac::apps::{FilterApp, FilterKind, InverseK2jApp, JpegApp, JpegMode, Kernel, StageMode};
-use lac::core::{search_single, train_fixed, TrainConfig};
+use lac::core::{search_single, train_fixed, NullObserver, TrainConfig};
 use lac::data::{IkDataset, ImageDataset};
 use lac::hw::catalog;
 use lac::hw::LutMultiplier;
@@ -65,8 +65,15 @@ fn nas_search_prefers_accurate_hardware_end_to_end() {
         .map(|n| app.adapt(&LutMultiplier::maybe_wrap(catalog::by_name(n).unwrap())))
         .collect();
     let data = small_images();
-    let result =
-        search_single(&app, &candidates, &data.train, &data.test, &cfg(20, 2.0), 2.0);
+    let result = search_single(
+        &app,
+        &candidates,
+        &data.train,
+        &data.test,
+        &cfg(20, 2.0),
+        2.0,
+        &mut NullObserver,
+    );
     assert_eq!(result.chosen_name(), "mul8u_185Q");
     assert!(result.quality > 0.95, "185Q blur should be near-perfect, got {}", result.quality);
 }

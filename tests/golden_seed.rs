@@ -13,7 +13,7 @@ use std::sync::Arc;
 use lac::apps::{FilterApp, FilterKind, JpegApp, JpegMode, Kernel, StageMode};
 use lac::core::{
     greedy_multi, search_accuracy_constrained, search_multi, search_single, train_fixed,
-    MultiObjective, TrainConfig,
+    MultiObjective, NullObserver, TrainConfig,
 };
 use lac::data::{synth_image, GrayImage};
 use lac::hw::{catalog, Multiplier};
@@ -86,7 +86,7 @@ fn search_single_matches_pre_refactor_bits() {
     let app = FilterApp::new(FilterKind::GaussianBlur, StageMode::Single);
     let candidates = adapt(&app, &["mul8u_JV3", "mul8u_FTA", "DRUM16-4"]);
     let cfg = TrainConfig::new().epochs(10).learning_rate(2.0).minibatch(4).seed(9).threads(2);
-    let r = search_single(&app, &candidates, &train, &test, &cfg, 2.0);
+    let r = search_single(&app, &candidates, &train, &test, &cfg, 2.0, &mut NullObserver);
     assert_eq!(r.chosen, 1, "chosen candidate drifted");
     assert_eq!(r.quality.to_bits(), 0x3fef93d51ce0be5c, "quality drifted");
     assert_eq!(hash_f64s(&r.probabilities), 0x7d47527faa261483, "gate probabilities drifted");
@@ -99,7 +99,17 @@ fn search_accuracy_constrained_matches_pre_refactor_bits() {
     let app = FilterApp::new(FilterKind::GaussianBlur, StageMode::Single);
     let candidates = adapt(&app, &["mul8u_FTA", "DRUM16-6"]);
     let cfg = TrainConfig::new().epochs(10).learning_rate(2.0).minibatch(4).seed(5).threads(2);
-    let r = search_accuracy_constrained(&app, &candidates, &train, &test, &cfg, 2.0, 0.7, 10.0);
+    let r = search_accuracy_constrained(
+        &app,
+        &candidates,
+        &train,
+        &test,
+        &cfg,
+        2.0,
+        0.7,
+        10.0,
+        &mut NullObserver,
+    );
     assert_eq!(r.chosen, 0, "chosen candidate drifted");
     assert_eq!(r.quality.to_bits(), 0x3fef93d51ce0be5c, "quality drifted");
     assert_eq!(hash_tensors(&r.coeffs), 0x7bbad9fce667bc5e, "coefficients drifted");
@@ -119,6 +129,7 @@ fn search_multi_matches_pre_refactor_bits() {
         &cfg,
         0.8,
         MultiObjective::AreaConstrained { area_threshold: 0.3, gamma: 0.9, delta: 1.0 },
+        &mut NullObserver,
     );
     assert_eq!(r.choices, vec![1, 1, 1, 1, 1, 1, 1, 1, 1], "assignment drifted");
     assert_eq!(r.quality.to_bits(), 0x3fedcfeb442297f4, "quality drifted");
@@ -139,6 +150,7 @@ fn greedy_multi_matches_pre_refactor_bits() {
         &test,
         &cfg,
         MultiObjective::AreaConstrained { area_threshold: 0.3, gamma: 0.9, delta: 1.0 },
+        &mut NullObserver,
     );
     assert_eq!(r.choices, vec![0, 0, 1, 1, 1, 1, 1, 0, 1], "assignment drifted");
     assert_eq!(r.quality.to_bits(), 0x3feb8683a99afda3, "quality drifted");

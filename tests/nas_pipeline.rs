@@ -5,7 +5,7 @@ use std::sync::Arc;
 use lac::apps::{FilterApp, FilterKind, FirApp, FirKind, FirStageMode, Kernel, StageMode};
 use lac::core::{
     greedy_multi, mean_area, prune, search_accuracy_constrained, search_multi, Constraint,
-    MultiObjective, TrainConfig,
+    MultiObjective, NullObserver, TrainConfig,
 };
 use lac::data::{ImageDataset, SignalDataset};
 use lac::hw::{catalog, LutMultiplier, Multiplier};
@@ -31,8 +31,15 @@ fn constraint_pruning_composes_with_search() {
     assert_eq!(names, vec!["mul8u_JV3", "mul8u_FTA"]);
 
     let data = ImageDataset::generate(6, 3, 32, 32, 2);
-    let result =
-        lac::core::search_single(&app, &admitted, &data.train, &data.test, &cfg(30), 2.0);
+    let result = lac::core::search_single(
+        &app,
+        &admitted,
+        &data.train,
+        &data.test,
+        &cfg(30),
+        2.0,
+        &mut NullObserver,
+    );
     // FTA trains to near-perfect blur; JV3 cannot.
     assert_eq!(result.chosen_name(), "mul8u_FTA");
 }
@@ -51,6 +58,7 @@ fn accuracy_constrained_search_respects_target() {
         2.0,
         0.997, // only 185Q reaches this
         200.0,
+        &mut NullObserver,
     );
     assert_eq!(result.chosen_name(), "mul8u_185Q");
     assert!(result.quality >= 0.997, "quality {}", result.quality);
@@ -69,6 +77,7 @@ fn parallel_multi_hardware_respects_mean_area_budget() {
         &cfg(60),
         1.0,
         MultiObjective::AreaConstrained { area_threshold: 0.08, gamma: 0.9, delta: 10.0 },
+        &mut NullObserver,
     );
     assert_eq!(result.choices.len(), 9);
     assert!(
@@ -95,8 +104,17 @@ fn greedy_and_nas_both_produce_valid_fir_assignments() {
         &cfg(20),
         1.0,
         objective,
+        &mut NullObserver,
     );
-    let greedy = greedy_multi(&app, &candidates, &data.train, &data.test, &cfg(3), objective);
+    let greedy = greedy_multi(
+        &app,
+        &candidates,
+        &data.train,
+        &data.test,
+        &cfg(3),
+        objective,
+        &mut NullObserver,
+    );
     for r in [&nas, &greedy] {
         assert_eq!(r.choices.len(), 9);
         assert!(r.quality.is_finite());
@@ -111,8 +129,26 @@ fn multi_nas_is_deterministic_per_seed() {
     let data = ImageDataset::generate(4, 2, 32, 32, 8);
     let objective =
         MultiObjective::AreaConstrained { area_threshold: 0.1, gamma: 1.0, delta: 1.0 };
-    let a = search_multi(&app, &candidates, &data.train, &data.test, &cfg(15), 1.0, objective);
-    let b = search_multi(&app, &candidates, &data.train, &data.test, &cfg(15), 1.0, objective);
+    let a = search_multi(
+        &app,
+        &candidates,
+        &data.train,
+        &data.test,
+        &cfg(15),
+        1.0,
+        objective,
+        &mut NullObserver,
+    );
+    let b = search_multi(
+        &app,
+        &candidates,
+        &data.train,
+        &data.test,
+        &cfg(15),
+        1.0,
+        objective,
+        &mut NullObserver,
+    );
     assert_eq!(a.choices, b.choices);
     assert_eq!(a.quality, b.quality);
 }

@@ -4,10 +4,10 @@
 
 use std::time::Instant;
 
-use lac::apps::{FilterApp, FilterKind, Kernel, StageMode};
+use lac::apps::{FilterApp, FilterKind, JpegApp, JpegMode, Kernel, StageMode};
 use lac::core::{
-    train_fixed, train_fixed_resumable, HardwarePlan, MemoryObserver, RunScope, TrainConfig,
-    TrainError, TrainSession,
+    train_fixed, train_fixed_resumable, HardwarePlan, MemoryObserver, NullObserver, RunScope,
+    SessionCheckpoint, TrainConfig, TrainError, TrainSession,
 };
 use lac::data::ImageDataset;
 use lac::hw::{catalog, LutMultiplier};
@@ -41,17 +41,110 @@ fn resume_from_checkpoint_matches_uninterrupted_run() {
     let ck = dir.join("ck.json");
     // Leg 1 stops after 6 epochs (simulating an interruption); leg 2
     // picks the checkpoint up and finishes the remaining 6.
-    let leg1 = train_fixed_resumable(&app, &mult, &data.train, &data.test, &cfg(6), &ck, 4)
-        .expect("leg 1");
+    let leg1 = train_fixed_resumable(
+        &app,
+        &mult,
+        &data.train,
+        &data.test,
+        &cfg(6),
+        &ck,
+        4,
+        &mut NullObserver,
+    )
+    .expect("leg 1");
     assert!(ck.exists(), "leg 1 must leave a checkpoint behind");
-    let leg2 = train_fixed_resumable(&app, &mult, &data.train, &data.test, &cfg(12), &ck, 4)
-        .expect("leg 2");
+    let leg2 = train_fixed_resumable(
+        &app,
+        &mult,
+        &data.train,
+        &data.test,
+        &cfg(12),
+        &ck,
+        4,
+        &mut NullObserver,
+    )
+    .expect("leg 2");
 
     assert_eq!(leg2.after.to_bits(), full.after.to_bits(), "final quality must be bit-equal");
     assert_eq!(coeff_bits(&leg2.coeffs), coeff_bits(&full.coeffs));
     // Leg 1 genuinely stopped early (it is a different, shorter run).
     assert_eq!(leg1.loss_history.len(), 6);
     assert_eq!(leg2.loss_history.len(), 12);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Write a 4-epoch blur/`mul8u_FTA` checkpoint into a fresh directory
+/// named `name` under the system temp dir; returns (dir, checkpoint).
+fn blur_checkpoint(name: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+    let (app, mult, data) = blur_setup();
+    let dir = std::env::temp_dir().join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    let ck = dir.join("ck.json");
+    train_fixed_resumable(&app, &mult, &data.train, &data.test, &cfg(4), &ck, 4, &mut NullObserver)
+        .expect("checkpointing run");
+    (dir, ck)
+}
+
+/// The checkpoint error's reason, or a failure naming what came back.
+fn checkpoint_reason(result: Result<lac::core::FixedResult, TrainError>) -> String {
+    match result {
+        Err(TrainError::Checkpoint { reason, .. }) => reason,
+        other => panic!("expected a Checkpoint error, got {other:?}"),
+    }
+}
+
+/// Resuming another multiplier's checkpoint must be refused, not
+/// silently continued: the file records which run wrote it.
+#[test]
+fn resume_rejects_a_checkpoint_from_another_multiplier() {
+    let (app, _, data) = blur_setup();
+    let (dir, ck) = blur_checkpoint("lac-recovery-other-mult-test");
+    let drum = app.adapt(&LutMultiplier::maybe_wrap(catalog::by_name("DRUM16-4").unwrap()));
+    let result = train_fixed_resumable(
+        &app,
+        &drum,
+        &data.train,
+        &data.test,
+        &cfg(8),
+        &ck,
+        4,
+        &mut NullObserver,
+    );
+    let reason = checkpoint_reason(result);
+    assert!(reason.contains("mul8u_FTA") && reason.contains("DRUM16-4"), "{reason}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Resuming another kernel's checkpoint must be refused before any
+/// forward pass sees the wrong coefficients — by the recorded model
+/// identity, and by the coefficient shapes when no identity was recorded.
+#[test]
+fn resume_rejects_a_checkpoint_of_another_kernel() {
+    let (blur, _, data) = blur_setup();
+    let (dir, ck) = blur_checkpoint("lac-recovery-other-kernel-test");
+    let jpeg = JpegApp::new(JpegMode::Single);
+    let mult = jpeg.adapt(&LutMultiplier::maybe_wrap(catalog::by_name("mul8u_FTA").unwrap()));
+    let resume = |jpeg: &JpegApp| {
+        train_fixed_resumable(
+            jpeg,
+            &mult,
+            &data.train,
+            &data.test,
+            &cfg(8),
+            &ck,
+            4,
+            &mut NullObserver,
+        )
+    };
+    let reason = checkpoint_reason(resume(&jpeg));
+    assert!(reason.contains(blur.name()) && reason.contains(jpeg.name()), "{reason}");
+
+    // The same blur session saved without its model identity.
+    let plan = HardwarePlan::uniform(&blur.adapt(&catalog::by_name("mul8u_FTA").unwrap()));
+    let session = TrainSession::new(blur.init_coeffs(&plan.materialize(1)), 2.0);
+    SessionCheckpoint::capture(&session, 0, 2, &[]).save(&ck).expect("save");
+    let reason = checkpoint_reason(resume(&jpeg));
+    assert!(reason.contains("shapes") && reason.contains(jpeg.name()), "{reason}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

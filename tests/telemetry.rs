@@ -5,13 +5,13 @@ use std::sync::Arc;
 
 use lac::apps::{FilterApp, FilterKind, Kernel, StageMode};
 use lac::core::{
-    brute_force_observed, greedy_multi_observed, search_accuracy_constrained_observed,
-    search_multi_observed, search_single_observed, train_fixed_multistart_observed,
-    train_fixed_observed, JsonlObserver, MemoryObserver, MultiObjective, TrainConfig,
-    TrainObserver,
+    brute_force, greedy_multi, search_accuracy_constrained, search_multi, search_single,
+    train_fixed_multistart, train_fixed_observed, JsonlObserver, MemoryObserver, MultiObjective,
+    NullObserver, TrainConfig, TrainObserver,
 };
 use lac::data::{synth_image, GrayImage};
 use lac::hw::{catalog, Multiplier};
+use lac::tensor::Tensor;
 
 fn images(range: std::ops::Range<u64>) -> Vec<GrayImage> {
     range.map(|i| synth_image(32, 32, i)).collect()
@@ -43,19 +43,18 @@ fn all_entry_points_emit_per_epoch_events() {
     assert_eq!(count_run(&obs, "fixed"), 6, "train_fixed must emit one event per epoch");
 
     let mut obs = MemoryObserver::new();
-    let _ =
-        train_fixed_multistart_observed(&single, &mult, &train, &test, &cfg, &[0, 3], &mut obs)
-            .expect("training");
+    let _ = train_fixed_multistart(&single, &mult, &train, &test, &cfg, &[0, 3], &mut obs)
+        .expect("training");
     assert_eq!(count_run(&obs, "fixed"), 12, "multistart must emit events for every restart");
     assert!(obs.lines.iter().any(|l| l.contains("+restart1")), "restarts must be labeled");
 
     let mut obs = MemoryObserver::new();
-    let _ = search_single_observed(&single, &candidates, &train, &test, &cfg, 2.0, &mut obs);
+    let _ = search_single(&single, &candidates, &train, &test, &cfg, 2.0, &mut obs);
     assert_eq!(count_run(&obs, "search-single"), 6);
     assert!(obs.lines.iter().all(|l| l.contains("\"gate_probs\":[[")), "events carry gate probs");
 
     let mut obs = MemoryObserver::new();
-    let _ = search_accuracy_constrained_observed(
+    let _ = search_accuracy_constrained(
         &single,
         &candidates,
         &train,
@@ -69,7 +68,7 @@ fn all_entry_points_emit_per_epoch_events() {
     assert_eq!(count_run(&obs, "search-accuracy"), 6);
 
     let mut obs = MemoryObserver::new();
-    let _ = search_multi_observed(
+    let _ = search_multi(
         &per_tap,
         &tap_candidates,
         &train,
@@ -83,12 +82,12 @@ fn all_entry_points_emit_per_epoch_events() {
     assert!(count_run(&obs, "fine-tune") > 0, "verification fine-tunes must be observed");
 
     let mut obs = MemoryObserver::new();
-    let _ = brute_force_observed(&single, &candidates, &train, &test, &cfg, &mut obs);
+    let _ = brute_force(&single, &candidates, &train, &test, &cfg, &mut obs);
     assert_eq!(count_run(&obs, "fixed"), 12, "brute force trains every candidate");
 
     let greedy_cfg = TrainConfig::new().epochs(2).learning_rate(2.0).minibatch(3).threads(2);
     let mut obs = MemoryObserver::new();
-    let _ = greedy_multi_observed(
+    let _ = greedy_multi(
         &per_tap,
         &tap_candidates,
         &train,
@@ -158,6 +157,40 @@ fn observed_and_plain_entry_points_agree() {
             assert_eq!(x.to_bits(), y.to_bits());
         }
     }
+
+    let candidates = adapt(&app, &["mul8u_JV3", "mul8u_FTA", "DRUM16-4"]);
+    let cfg = cfg.seed(4);
+    let quiet = search_single(&app, &candidates, &train, &test, &cfg, 2.0, &mut NullObserver);
+    let mut obs = MemoryObserver::new();
+    let watched = search_single(&app, &candidates, &train, &test, &cfg, 2.0, &mut obs);
+    assert!(!obs.is_empty());
+    assert_eq!(quiet.chosen, watched.chosen);
+    assert_eq!(quiet.quality.to_bits(), watched.quality.to_bits());
+    assert_eq!(bits(&quiet.probabilities), bits(&watched.probabilities));
+    assert_eq!(coeff_bits(&quiet.coeffs), coeff_bits(&watched.coeffs));
+
+    let per_tap = FilterApp::new(FilterKind::GaussianBlur, StageMode::PerTap);
+    let candidates = adapt(&per_tap, &["mul8u_FTA", "DRUM16-4"]);
+    let objective = MultiObjective::AreaConstrained { area_threshold: 0.3, gamma: 0.9, delta: 1.0 };
+    let search = |obs: &mut dyn TrainObserver| {
+        search_multi(&per_tap, &candidates, &train, &test, &cfg, 0.8, objective, obs)
+    };
+    let quiet = search(&mut NullObserver);
+    let mut obs = MemoryObserver::new();
+    let watched = search(&mut obs);
+    assert!(!obs.is_empty());
+    assert_eq!(quiet.choices, watched.choices);
+    assert_eq!(quiet.quality.to_bits(), watched.quality.to_bits());
+    assert_eq!(quiet.area.to_bits(), watched.area.to_bits());
+    assert_eq!(coeff_bits(&quiet.coeffs), coeff_bits(&watched.coeffs));
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+fn coeff_bits(coeffs: &[Tensor]) -> Vec<Vec<u64>> {
+    coeffs.iter().map(|t| bits(t.data())).collect()
 }
 
 #[test]
