@@ -1,12 +1,14 @@
 //! Throughput of `approx_matmul` at the JPEG/DFT hot shapes: the scalar
-//! trait-object path against the blocked LUT kernel, the latter with no
-//! operand repeating (`gather`) and with a fixed coefficient matrix on
-//! either side (`fixed_lhs`, `fixed_rhs`), plus a full forward+backward
-//! step exercising the fused surrogate-gradient kernels. Every LUT row
-//! runs the same kernel over the multiplier's `f64` product table; the
-//! ids are kept so results stay comparable with the committed baseline.
-//! All paths are bit-identical (see `tests/matmul_equivalence`); this
-//! suite tracks their relative cost.
+//! trait-object path against the register-blocked LUT kernel (four
+//! output columns accumulated in registers across the inner dimension),
+//! the latter with no operand repeating (`gather`) and with a fixed
+//! coefficient matrix on either side (`fixed_lhs`, `fixed_rhs`), plus a
+//! full forward+backward step exercising the register-blocked
+//! surrogate-gradient kernels. Every LUT row runs the same kernel over
+//! the multiplier's `f64` product table, with operands quantized by the
+//! inlined `round_half_away`; the ids are kept so results stay comparable
+//! with the committed baseline. All paths are bit-identical (see
+//! `tests/matmul_equivalence`); this suite tracks their relative cost.
 //!
 //! Writes `BENCH_matmul_kernels.json`; see `lac_rt::bench` for the
 //! protocol and `LAC_BENCH_FAST` / `LAC_BENCH_SAMPLES` knobs.

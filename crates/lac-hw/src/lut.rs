@@ -25,6 +25,38 @@ pub const MAX_LUT_BITS: u32 = 10;
 /// Largest product magnitude an `f64` table represents exactly (2^53).
 const MAX_EXACT_PRODUCT: u64 = 1 << 53;
 
+/// 2^52: from here up every `f64` is an integer.
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
+/// Round to the nearest integer, ties away from zero: bit-identical to
+/// [`f64::round`] for every input, but inlined into the caller's loop.
+///
+/// On the default x86-64 target (no SSE4.1 `roundsd`) `f64::round` is
+/// an out-of-line libm call. This helper is a few adds and compares:
+///
+/// * For `|x| < 2^52`, `t = (|x| + 2^52) - 2^52` is `|x|` rounded to the
+///   nearest integer with ties to even: the sum lies in `[2^52, 2^53)`,
+///   where the `f64` spacing is exactly 1, and the subtraction is exact.
+/// * `|x| - t` is exact too (the operands are within a factor of two, or
+///   `t` is 0), so it equals `0.5` exactly when `|x|` was a tie that went
+///   down to even; adding 1 then moves that tie away from zero.
+/// * `copysign(t, x)` restores the sign, including `-0.0` for inputs in
+///   `(-0.5, -0.0]`, as `f64::round` does.
+/// * `|x| >= 2^52` (infinities included) is already integral and passes
+///   through unchanged. A NaN goes through the arithmetic, which quiets a
+///   signalling NaN and keeps its payload and sign, as `f64::round` does.
+#[inline(always)]
+pub fn round_half_away(x: f64) -> f64 {
+    let a = x.abs();
+    let t = (a + TWO_POW_52) - TWO_POW_52;
+    let t = if a - t == 0.5 { t + 1.0 } else { t };
+    if a >= TWO_POW_52 {
+        x
+    } else {
+        t.copysign(x)
+    }
+}
+
 /// A borrowed view of a dense product table: every product of a narrow
 /// multiplier, indexable without virtual dispatch.
 ///
@@ -75,7 +107,7 @@ impl<'a> DenseLut<'a> {
     /// its **column** offset.
     #[inline(always)]
     pub fn col(&self, v: f64) -> usize {
-        ((v.round() as i64).clamp(self.lo, self.hi) - self.lo) as usize
+        ((round_half_away(v) as i64).clamp(self.lo, self.hi) - self.lo) as usize
     }
 
     /// The product at a pre-quantized `(row, col)` index pair.
@@ -301,6 +333,119 @@ mod tests {
                 let via_trait = lut.multiply(a.round() as i64, b.round() as i64) as f64;
                 assert_eq!(via_view, via_trait, "{a} x {b}");
             }
+        }
+    }
+
+    fn assert_rounds_like_std(x: f64) {
+        assert_eq!(
+            round_half_away(x).to_bits(),
+            x.round().to_bits(),
+            "round_half_away({x:e}) [bits {:#018x}]",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn round_half_away_matches_std_on_edge_cases() {
+        let two52 = TWO_POW_52;
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            -0.3,
+            0.3,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            255.5,
+            -255.5,
+            0.49999999999999994,
+            -0.49999999999999994,
+            4503599627370495.5,
+            -4503599627370495.5,
+            two52,
+            -two52,
+            two52 + 1.0,
+            2.0 * two52,
+            1e300,
+            -1e300,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        // Ties and their neighbouring values, from 0.5 up to the 2^52 edge.
+        for k in [0.5, 1.5, 2.5, 1023.5, 1e15 + 0.5, two52 / 2.0 + 0.5, two52 - 0.5] {
+            for v in [k, -k] {
+                cases.extend([v, f64::from_bits(v.to_bits() + 1), f64::from_bits(v.to_bits() - 1)]);
+            }
+        }
+        for x in cases {
+            assert_rounds_like_std(x);
+        }
+    }
+
+    /// A seeded sweep: random bit patterns (every exponent, NaN payloads,
+    /// subnormals), then values within a few ulps of quarter and half
+    /// steps, where the tie handling decides the result.
+    #[test]
+    fn round_half_away_matches_std_on_a_seeded_sweep() {
+        let mut state = 0x5eed_2041_u64;
+        for _ in 0..10_000_000 {
+            assert_rounds_like_std(f64::from_bits(lac_rt::rng::splitmix64(&mut state)));
+        }
+        for _ in 0..2_000_000 {
+            let r = lac_rt::rng::splitmix64(&mut state);
+            // A quarter, half or whole step below 2^53 on a log-uniform
+            // magnitude, nudged by up to ±3 ulps.
+            let steps = (r >> 11) >> (r % 53);
+            let base = steps as f64 * [0.25, 0.5, 1.0][(r >> 6) as usize % 3];
+            let nudge = (r >> 8) % 7;
+            let bits = (base.to_bits() + nudge).saturating_sub(3);
+            let x = f64::from_bits(bits);
+            assert_rounds_like_std(x);
+            assert_rounds_like_std(-x);
+        }
+    }
+
+    /// `DenseLut::col`/`row` keep the exact index of the old
+    /// `((v.round() as i64).clamp(lo, hi) - lo)` form, including the
+    /// saturating casts of NaN, infinities and huge values.
+    #[test]
+    fn dense_lut_indices_match_std_round_form() {
+        // A 9-bit signed unit: operands clamp into [-255, 255].
+        let lut = LutMultiplier::new(Arc::new(ExactMultiplier::new(9, Signedness::Signed)));
+        let view = lut.as_lut().unwrap();
+        let (lo, hi) = view.operand_range();
+        let old = |v: f64| ((v.round() as i64).clamp(lo, hi) - lo) as usize;
+        for v in [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            -1e300,
+            0.5,
+            -0.5,
+            255.5,
+            -255.5,
+            254.5,
+            -254.5,
+            -0.0,
+            0.0,
+            0.49999999999999994,
+            -127.5,
+            127.5,
+        ] {
+            assert_eq!(view.col(v), old(v), "col({v})");
+            assert_eq!(view.row(v), old(v) * view.side(), "row({v})");
         }
     }
 

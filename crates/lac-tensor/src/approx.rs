@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use lac_hw::{DenseLut, Multiplier};
+use lac_hw::{round_half_away, DenseLut, Multiplier};
 
 use crate::graph::Var;
 use crate::matmul_fast;
@@ -23,7 +23,7 @@ use crate::ops::{conv2d_backward, conv2d_forward};
 use crate::tensor::Tensor;
 
 fn approx_product(mult: &dyn Multiplier, a: f64, b: f64) -> f64 {
-    mult.multiply(a.round() as i64, b.round() as i64) as f64
+    mult.multiply(round_half_away(a) as i64, round_half_away(b) as i64) as f64
 }
 
 // ---------------------------------------------------------------------
@@ -43,28 +43,46 @@ fn approx_product(mult: &dyn Multiplier, a: f64, b: f64) -> f64 {
 /// Fast-path forward of [`Var::approx_conv2d`]: same-padded convolution
 /// with kernel taps pre-quantized to row offsets and pixels to column
 /// offsets, mirroring `conv2d_forward`'s walk exactly.
+///
+/// An interior pixel, whose every tap lands inside the image, sums its
+/// taps row by row over slices with no padding test; a border pixel
+/// keeps the checked loop. Both add the in-image taps in `(i, j)` order
+/// from `0.0`, the order of `conv2d_forward`.
 fn approx_conv2d_lut(x: &Tensor, k: &Tensor, lut: DenseLut<'_>) -> Tensor {
     let (h, w) = x.dims2("conv2d image");
     let (kh, kw) = k.dims2("conv2d kernel");
     assert!(kh % 2 == 1 && kw % 2 == 1, "conv2d kernel must have odd dimensions, got {kh}x{kw}");
     let (ph, pw) = (kh / 2, kw / 2);
+    let table = lut.table();
     let krows: Vec<usize> = k.data().iter().map(|&v| lut.row(v)).collect();
     let xcols: Vec<usize> = x.data().iter().map(|&v| lut.col(v)).collect();
     let mut out = Tensor::zeros(&[h, w]);
+    let od = out.data_mut();
     for y in 0..h {
+        let inner_row = y >= ph && y + ph < h;
         for xx in 0..w {
             let mut acc = 0.0;
-            for i in 0..kh {
-                for j in 0..kw {
-                    let sy = y as isize + i as isize - ph as isize;
-                    let sx = xx as isize + j as isize - pw as isize;
-                    if sy < 0 || sx < 0 || sy >= h as isize || sx >= w as isize {
-                        continue; // zero padding
+            if inner_row && xx >= pw && xx + pw < w {
+                for i in 0..kh {
+                    let taps = &krows[i * kw..][..kw];
+                    let pixels = &xcols[(y + i - ph) * w + xx - pw..][..kw];
+                    for (&r, &c) in taps.iter().zip(pixels) {
+                        acc += table[r + c];
                     }
-                    acc += lut.product(krows[i * kw + j], xcols[sy as usize * w + sx as usize]);
+                }
+            } else {
+                for i in 0..kh {
+                    for j in 0..kw {
+                        let sy = y as isize + i as isize - ph as isize;
+                        let sx = xx as isize + j as isize - pw as isize;
+                        if sy < 0 || sx < 0 || sy >= h as isize || sx >= w as isize {
+                            continue; // zero padding
+                        }
+                        acc += lut.product(krows[i * kw + j], xcols[sy as usize * w + sx as usize]);
+                    }
                 }
             }
-            out.data_mut()[y * w + xx] = acc;
+            od[y * w + xx] = acc;
         }
     }
     out
@@ -78,7 +96,7 @@ fn approx_conv2d_forward(x: &Tensor, k: &Tensor, mult: &Arc<dyn Multiplier>) -> 
     }
 }
 
-/// Forward of [`Var::approx_matmul`]: the blocked LUT kernel when the
+/// Forward of [`Var::approx_matmul`]: the register-blocked LUT kernel when the
 /// unit exposes its table (bit-identical to the loop below; see
 /// `matmul_fast`'s bit-equivalence contract), else one virtual multiply
 /// per product in the `i-j-p` reference order.
@@ -161,7 +179,8 @@ impl Var {
     /// round recorded as one tape node instead of two.
     ///
     /// Bit-identical to the unfused pair: the forward maps the very same
-    /// product tensor through `(v * c).round()`, and the backward first
+    /// product tensor through `round_half_away(v * c)` (bit-identical to
+    /// `(v * c).round()`), and the backward first
     /// applies the scale node's gradient (`g · c`) and then the matmul's
     /// fused transposed kernels — the exact op sequence the two separate
     /// nodes would run.
@@ -181,7 +200,7 @@ impl Var {
         );
         let a = self.value();
         let b = other.value();
-        let value = approx_matmul_forward(&a, &b, mult).map(|v| (v * c).round());
+        let value = approx_matmul_forward(&a, &b, mult).map(|v| round_half_away(v * c));
 
         let graph = self.graph();
         let id = graph.push(
@@ -673,6 +692,82 @@ mod tests {
                 assert_eq!(bits(&unfused.value()), bits(&fused.value()), "elem fwd at {c}");
                 assert_eq!(bits(&gr3.get(&a3)), bits(&gr4.get(&a4)), "elem grad-a at {c}");
                 assert_eq!(bits(&gr3.get(&b3)), bits(&gr4.get(&b4)), "elem grad-b at {c}");
+            }
+        }
+    }
+
+    /// The pre-split `approx_conv2d_lut` body: one padding-checked loop
+    /// for every pixel. The split kernel must match it bit for bit.
+    fn approx_conv2d_lut_reference(x: &Tensor, k: &Tensor, lut: DenseLut<'_>) -> Tensor {
+        let (h, w) = x.dims2("conv2d image");
+        let (kh, kw) = k.dims2("conv2d kernel");
+        let (ph, pw) = (kh / 2, kw / 2);
+        let krows: Vec<usize> = k.data().iter().map(|&v| lut.row(v)).collect();
+        let xcols: Vec<usize> = x.data().iter().map(|&v| lut.col(v)).collect();
+        let mut out = Tensor::zeros(&[h, w]);
+        for y in 0..h {
+            for xx in 0..w {
+                let mut acc = 0.0;
+                for i in 0..kh {
+                    for j in 0..kw {
+                        let sy = y as isize + i as isize - ph as isize;
+                        let sx = xx as isize + j as isize - pw as isize;
+                        if sy < 0 || sx < 0 || sy >= h as isize || sx >= w as isize {
+                            continue; // zero padding
+                        }
+                        acc += lut.product(krows[i * kw + j], xcols[sy as usize * w + sx as usize]);
+                    }
+                }
+                out.data_mut()[y * w + xx] = acc;
+            }
+        }
+        out
+    }
+
+    /// Seeded fractional values in `[-span, span)`, with every fifth one
+    /// `-0.0` and every seventh `+0.0`.
+    fn fractional(state: &mut u64, rows: usize, cols: usize, span: f64) -> Tensor {
+        let data = (0..rows * cols)
+            .map(|idx| {
+                let r = lac_rt::rng::splitmix64(state);
+                if idx % 5 == 2 {
+                    -0.0
+                } else if idx % 7 == 4 {
+                    0.0
+                } else {
+                    ((r >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) * span
+                }
+            })
+            .collect();
+        Tensor::from_vec(data, &[rows, cols])
+    }
+
+    /// The interior/border split of the LUT conv forward against the
+    /// single checked loop: 1×1, 3×3 and 5×5 kernels over images smaller
+    /// than, equal to and larger than the kernel, up to the CNN's 16×16,
+    /// through an unsigned and a signed table.
+    #[test]
+    fn conv_lut_kernel_matches_checked_reference() {
+        use lac_hw::LutMultiplier;
+
+        let unsigned = LutMultiplier::maybe_wrap(catalog::by_name("mul8u_FTA").unwrap());
+        let signed = LutMultiplier::maybe_wrap(lac_hw::signed_capable(
+            catalog::by_name("mul8u_FTA").unwrap(),
+        ));
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut state = 0xc04e_u64;
+        for unit in [&unsigned, &signed] {
+            let lut = unit.as_lut().unwrap();
+            for (kh, kw) in [(1, 1), (3, 3), (5, 5), (1, 3), (5, 3)] {
+                for (h, w) in [(1, 1), (2, 3), (3, 3), (5, 5), (4, 7), (16, 16)] {
+                    for _ in 0..20 {
+                        let x = fractional(&mut state, h, w, 300.0);
+                        let k = fractional(&mut state, kh, kw, 300.0);
+                        let got = bits(&approx_conv2d_lut(&x, &k, lut));
+                        let want = bits(&approx_conv2d_lut_reference(&x, &k, lut));
+                        assert_eq!(got, want, "{}: {kh}x{kw} over {h}x{w}", unit.name());
+                    }
+                }
             }
         }
     }

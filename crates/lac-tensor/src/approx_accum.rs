@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use lac_hw::adders::Adder;
-use lac_hw::Multiplier;
+use lac_hw::{round_half_away, Multiplier};
 
 use crate::graph::Var;
 use crate::ops::conv2d_backward;
@@ -75,8 +75,8 @@ impl Var {
                         if sy < 0 || sx < 0 || sy >= h as isize || sx >= w as isize {
                             continue;
                         }
-                        let tap = k.data()[i * kw + j].round() as i64;
-                        let pixel = x.data()[sy as usize * w + sx as usize].round() as i64;
+                        let tap = round_half_away(k.data()[i * kw + j]) as i64;
+                        let pixel = round_half_away(x.data()[sy as usize * w + sx as usize]) as i64;
                         let product = mult.multiply(tap, pixel);
                         acc = approx_add_signed(&**adder, acc, product);
                     }

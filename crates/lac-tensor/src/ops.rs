@@ -418,28 +418,51 @@ pub(crate) fn conv2d_forward(x: &Tensor, k: &Tensor, prod: impl Fn(f64, f64) -> 
 }
 
 /// Exact gradients of same-padded 2-D convolution: `(d_image, d_kernel)`.
+///
+/// Scatter form: each output pixel with a nonzero gradient adds its
+/// share to every in-image tap, taps in `(i, j)` order, so each gradient
+/// element receives its terms in pixel raster order. An interior pixel
+/// walks its taps over row slices with no padding test; a border pixel
+/// keeps the checked loop. A gather form (one sum per gradient element)
+/// would need a zero test per (tap, pixel) to keep the same skips, which
+/// is far slower.
 pub(crate) fn conv2d_backward(x: &Tensor, k: &Tensor, g: &Tensor) -> (Tensor, Tensor) {
     let (h, w) = x.dims2("conv2d image");
     let (kh, kw) = k.dims2("conv2d kernel");
     let (ph, pw) = (kh / 2, kw / 2);
+    let (xd, kd, gd) = (x.data(), k.data(), g.data());
     let mut dx = Tensor::zeros(&[h, w]);
     let mut dk = Tensor::zeros(&[kh, kw]);
+    let (dxd, dkd) = (dx.data_mut(), dk.data_mut());
     for y in 0..h {
+        let inner_row = y >= ph && y + ph < h;
         for xx in 0..w {
-            let gv = g.data()[y * w + xx];
+            let gv = gd[y * w + xx];
             if gv == 0.0 {
                 continue;
             }
-            for i in 0..kh {
-                for j in 0..kw {
-                    let sy = y as isize + i as isize - ph as isize;
-                    let sx = xx as isize + j as isize - pw as isize;
-                    if sy < 0 || sx < 0 || sy >= h as isize || sx >= w as isize {
-                        continue;
+            if inner_row && xx >= pw && xx + pw < w {
+                for i in 0..kh {
+                    let at = (y + i - ph) * w + xx - pw;
+                    let pixels = xd[at..][..kw].iter().zip(&mut dxd[at..][..kw]);
+                    let taps = kd[i * kw..][..kw].iter().zip(&mut dkd[i * kw..][..kw]);
+                    for ((&xv, dxv), (&kv, dkv)) in pixels.zip(taps) {
+                        *dkv += gv * xv;
+                        *dxv += gv * kv;
                     }
-                    let si = sy as usize * w + sx as usize;
-                    dk.data_mut()[i * kw + j] += gv * x.data()[si];
-                    dx.data_mut()[si] += gv * k.data()[i * kw + j];
+                }
+            } else {
+                for i in 0..kh {
+                    for j in 0..kw {
+                        let sy = y as isize + i as isize - ph as isize;
+                        let sx = xx as isize + j as isize - pw as isize;
+                        if sy < 0 || sx < 0 || sy >= h as isize || sx >= w as isize {
+                            continue;
+                        }
+                        let si = sy as usize * w + sx as usize;
+                        dkd[i * kw + j] += gv * xd[si];
+                        dxd[si] += gv * kd[i * kw + j];
+                    }
                 }
             }
         }
@@ -632,6 +655,79 @@ mod tests {
         let a = g1.var(Tensor::scalar(1.0));
         let b = g2.var(Tensor::scalar(2.0));
         let _ = a.add(&b);
+    }
+
+    /// The pre-split `conv2d_backward` body: one padding-checked scatter
+    /// loop for every pixel. The split kernel must match it bit for bit.
+    fn conv2d_backward_reference(x: &Tensor, k: &Tensor, g: &Tensor) -> (Tensor, Tensor) {
+        let (h, w) = x.dims2("conv2d image");
+        let (kh, kw) = k.dims2("conv2d kernel");
+        let (ph, pw) = (kh / 2, kw / 2);
+        let mut dx = Tensor::zeros(&[h, w]);
+        let mut dk = Tensor::zeros(&[kh, kw]);
+        for y in 0..h {
+            for xx in 0..w {
+                let gv = g.data()[y * w + xx];
+                if gv == 0.0 {
+                    continue;
+                }
+                for i in 0..kh {
+                    for j in 0..kw {
+                        let sy = y as isize + i as isize - ph as isize;
+                        let sx = xx as isize + j as isize - pw as isize;
+                        if sy < 0 || sx < 0 || sy >= h as isize || sx >= w as isize {
+                            continue;
+                        }
+                        let si = sy as usize * w + sx as usize;
+                        dk.data_mut()[i * kw + j] += gv * x.data()[si];
+                        dx.data_mut()[si] += gv * k.data()[i * kw + j];
+                    }
+                }
+            }
+        }
+        (dx, dk)
+    }
+
+    /// Seeded full-mantissa values in `[-1, 1)`; with `zeros`, every fifth
+    /// one is `-0.0` and every seventh `+0.0`.
+    fn fractional(state: &mut u64, rows: usize, cols: usize, zeros: bool) -> Tensor {
+        let data = (0..rows * cols)
+            .map(|idx| {
+                let r = lac_rt::rng::splitmix64(state);
+                if zeros && idx % 5 == 2 {
+                    -0.0
+                } else if zeros && idx % 7 == 4 {
+                    0.0
+                } else {
+                    (r >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+                }
+            })
+            .collect();
+        Tensor::from_vec(data, &[rows, cols])
+    }
+
+    /// The interior/border split of the conv backward against the single
+    /// checked scatter loop: 1×1, 3×3 and 5×5 kernels over images smaller
+    /// than, equal to and larger than the kernel, up to the CNN's 16×16,
+    /// with gradients holding `-0.0` and `+0.0`.
+    #[test]
+    fn conv_backward_matches_checked_reference() {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut state = 0xbac_u64;
+        for (kh, kw) in [(1, 1), (3, 3), (5, 5), (1, 3), (5, 3)] {
+            for (h, w) in [(1, 1), (2, 3), (3, 3), (5, 5), (4, 7), (16, 16)] {
+                for zeros in [false, true].repeat(10) {
+                    let x = fractional(&mut state, h, w, false);
+                    let k = fractional(&mut state, kh, kw, false);
+                    let g = fractional(&mut state, h, w, zeros);
+                    let (dx, dk) = conv2d_backward(&x, &k, &g);
+                    let (want_dx, want_dk) = conv2d_backward_reference(&x, &k, &g);
+                    let what = format!("{kh}x{kw} over {h}x{w}, zeros {zeros}");
+                    assert_eq!(bits(&dx), bits(&want_dx), "dx {what}");
+                    assert_eq!(bits(&dk), bits(&want_dk), "dk {what}");
+                }
+            }
+        }
     }
 
     #[test]

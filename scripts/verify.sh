@@ -91,11 +91,17 @@ cargo test -q --offline -p lac-rt --test jobqueue
 # every catalog unit (healthy, signed-adapted, and fault-injected),
 # across repeated fixed operands and worker counts, and the JPEG
 # golden pin must keep reproducing the pre-kernel-swap training
-# trajectory bit-for-bit. Named explicitly so a filtered CI
-# configuration cannot silently skip them.
+# trajectory bit-for-bit. The inline rounding helper must equal
+# f64::round bit for bit, and the interior/border conv kernels must
+# equal their single checked-loop references. Named explicitly so a
+# filtered CI configuration cannot silently skip them.
 echo "== matmul kernel bit-equivalence battery"
 cargo test -q --offline --test matmul_equivalence
 cargo test -q --offline -p lac-tensor --lib matmul_fast::
+cargo test -q --offline -p lac-hw --lib lut::tests::round_half_away_
+cargo test -q --offline -p lac-hw --lib lut::tests::dense_lut_indices_match_std_round_form
+cargo test -q --offline -p lac-tensor --lib approx::tests::conv_lut_kernel_matches_checked_reference
+cargo test -q --offline -p lac-tensor --lib ops::tests::conv_backward_matches_checked_reference
 cargo test -q --offline --test golden_seed jpeg_train_fixed
 
 # CNN workload suites: the golden-seed pin for fixed-hardware CNN

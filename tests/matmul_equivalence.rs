@@ -2,7 +2,7 @@
 //!
 //! `approx_matmul` has two implementations that must be observably one:
 //! the scalar trait-object path (one virtual `multiply` per product) and
-//! the LUT fast path in `lac-tensor::matmul_fast` (one cache-blocked
+//! the LUT fast path in `lac-tensor::matmul_fast` (one register-blocked
 //! gather kernel over the `f64` product table, with fused
 //! surrogate-gradient kernels). These tests pin the contract from
 //! DESIGN.md §7d: for every catalog unit — healthy or fault-injected —
